@@ -19,7 +19,7 @@ from .census import (
     estimate_dimension,
     gl_order,
 )
-from .errors import LimitExceeded
+from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec, embed, field, frobenius, root_of_unity
 from .matgf import (
     InvariantFactors,

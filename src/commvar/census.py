@@ -5,20 +5,23 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
 * brute: literal enumeration (pair scan at tiny sizes, otherwise a scan of
   all A with an exact per-matrix linear solve);
-* class: a sum over conjugacy classes of M_n(F_q) or GL_n(F_q), using the
-  classical primary-data parametrization, exact centralizer orders, and a
-  per-representative rank/consistency computation.
+* class: for Lie and commuting pairs, a sum over Green's class types of
+  M_n(F_q) (multisets of (degree, partition)), each weighted by its number
+  of classes, its class size and q^dim C; for group pairs and W, a sum over
+  the enumerated conjugacy classes of GL_n(F_q), with exact centralizer
+  orders and the zeta-twist of each class.
 
 Counts are unbounded integers end to end; dimension fitting uses Decimal
-logarithms at 50 significant digits.
+logarithms at 50 significant digits.  The counters' threads parameter is
+accepted and ignored: every count runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -26,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import polyring
-from .errors import LimitExceeded
+from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec
 from .matgf import Mat, block_diag, companion, invariant_factors, primary_data
 from .polyring import Poly
@@ -97,7 +100,10 @@ def centralizer_order_from_primary(data, q: int) -> int:
             for j in range(1, mult + 1):
                 comp *= 1 - Fraction(1, qp**j)
         total *= comp
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise MathCheckFailed(
+            "centralizer order %s of %r is not an integer" % (total, data)
+        )
     return total.numerator
 
 
@@ -156,9 +162,12 @@ class ClassRep:
 
     @functools.cached_property
     def class_size(self) -> int:
-        g = gl_order(self.n, self.spec.q)
-        assert g % self.centralizer_order == 0
-        return g // self.centralizer_order
+        size, rem = divmod(gl_order(self.n, self.spec.q), self.centralizer_order)
+        if rem:
+            raise MathCheckFailed(
+                "centralizer order does not divide |GL| for %r" % (self.data,)
+            )
+        return size
 
     def dim_centralizer(self) -> int:
         return dim_centralizer_from_primary(self.data)
@@ -236,7 +245,111 @@ def centralizer_group_order(rep: ClassRep, q: int | None = None) -> int:
     return rep.centralizer_order
 
 
-# -- fast rank / consistency of the commutator system -------------------------
+# -- class types -----------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def class_types(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Green's class types of M_n(F_q), in deterministic order.
+
+    A type is a sorted multiset of (degree d, partition lam) with
+    sum d * |lam| = n: the primary data of a class with each irreducible
+    replaced by its degree.  The list does not depend on q.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    keys = [
+        (d * w, (d, lam))
+        for d in range(1, n + 1)
+        for w in range(1, n // d + 1)
+        for lam in partitions(w)
+    ]
+    out = []
+
+    def rec(start, budget, prefix):
+        if budget == 0:
+            out.append(tuple(prefix))
+            return
+        for i in range(start, len(keys)):
+            size, key = keys[i]
+            if size <= budget:
+                rec(i, budget - size, prefix + [key])
+
+    rec(0, n, [])
+    return tuple(out)
+
+
+def _num_class_types(n: int) -> int:
+    """len(class_types(n)) without listing the types.
+
+    The x^n coefficient of prod_m (1 - x^m)^(-a_m), where a_m counts the
+    pairs (d, lam) with d * |lam| = m, by the Euler transform recurrence.
+    """
+    p = [1] + [0] * n  # partition numbers
+    for part in range(1, n + 1):
+        for w in range(part, n + 1):
+            p[w] += p[w - part]
+    a = [sum(p[m // d] for d in range(1, m + 1) if m % d == 0) for m in range(n + 1)]
+    c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+    b = [1]
+    for m in range(1, n + 1):
+        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) // m)
+    return b[n]
+
+
+def _classes_of_type(ctype, q: int) -> int:
+    """How many classes of M_n(F_q) have the given type.
+
+    Entries of degree d take distinct monic irreducibles of degree d, so
+    each degree contributes a falling factorial of N_d; entries that repeat
+    m times are unordered, hence the division by m!.
+    """
+    count = 1
+    used = Counter()
+    for d, _ in ctype:
+        count *= polyring.num_irreducibles(q, d) - used[d]
+        used[d] += 1
+    for mult in Counter(ctype).values():
+        count //= math.factorial(mult)
+    return count
+
+
+def _count_by_type(n: int, spec: FieldSpec, c: Fe, limits: CensusLimits) -> int:
+    """#{(A, B) : AB - BA = cI} as a sum over class types.
+
+    A matrix of a given type has a centralizer of dimension dim C, so the B
+    solving [A, B] = cI form a coset of it or nothing.  For c = 0 every type
+    counts; for c != 0 a type counts iff every part of every partition is
+    divisible by p.
+    """
+    num_types = _num_class_types(n)
+    if num_types > limits.max_classes:
+        raise LimitExceeded(
+            "%d class types at n=%d exceed limit %d" % (num_types, n, limits.max_classes)
+        )
+    q = spec.q
+    gl = gl_order(n, q)
+    total = 0
+    matrices = 0
+    for ctype in class_types(n):
+        classes = _classes_of_type(ctype, q)
+        if not classes:
+            continue
+        size, rem = divmod(gl, centralizer_order_from_primary(ctype, q))
+        if rem:
+            raise MathCheckFailed(
+                "centralizer order does not divide |GL| for type %r" % (ctype,)
+            )
+        matrices += classes * size
+        if not c or all(part % spec.p == 0 for _, lam in ctype for part in lam):
+            total += classes * size * q ** dim_centralizer_from_primary(ctype)
+    if matrices != q ** (n * n):
+        raise MathCheckFailed(
+            "class types at n=%d q=%d cover %d matrices, not q^(n^2)" % (n, q, matrices)
+        )
+    return total
+
+
+# -- rank / consistency of the commutator system, per matrix -------------------
 
 _NP_TABLE_CACHE: dict = {}
 
@@ -381,13 +494,6 @@ def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
 
 # -- counting ------------------------------------------------------------------
 
-def _sum_over(classes, contribution, threads: int) -> int:
-    if threads <= 1:
-        return sum(contribution(cl) for cl in classes)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(contribution, classes))
-
-
 def _all_matrices(spec: FieldSpec, n: int):
     q = spec.q
     for entries in itertools.product(range(q), repeat=n * n):
@@ -404,31 +510,14 @@ def count_lie_pairs(
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB - BA = cI}."""
     c = spec.el(c)
+    # every strategy builds the field tables up front: without them, brute
+    # scans over extension fields run on slow polynomial arithmetic
+    spec.ensure_tables()
     if strategy == "class":
-        return _count_lie_class(n, spec, c, limits, threads)
+        return _count_by_type(n, spec, c, limits)
     if strategy == "brute":
         return _count_lie_brute(n, spec, c, limits)
     raise ValueError("unknown strategy %r" % strategy)
-
-
-def _count_lie_class(n, spec, c, limits, threads) -> int:
-    q = spec.q
-    nn = n * n
-    classes = enumerate_classes(n, spec, False, limits)
-
-    def contribution(cl: ClassRep) -> int:
-        rank, consistent = _ad_rank_consistency(cl.representative, c)
-        assert rank == nn - cl.dim_centralizer()
-        if not consistent:
-            return 0
-        if c:
-            # solvability forces every block size to be a multiple of p
-            assert all(
-                part % spec.p == 0 for _, lam in cl.data for part in lam
-            ), "consistent class with a block size not divisible by p"
-        return cl.class_size * q ** (nn - rank)
-
-    return _sum_over(classes, contribution, threads)
 
 
 def _count_lie_brute(n, spec, c, limits) -> int:
@@ -465,15 +554,12 @@ def count_commuting_pairs(
     threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB = BA}; the c = 0 commutator count."""
+    spec.ensure_tables()
     if strategy == "brute":
         return _count_lie_brute(n, spec, spec.zero, limits)
     if strategy != "class":
         raise ValueError("unknown strategy %r" % strategy)
-    q = spec.q
-    classes = enumerate_classes(n, spec, False, limits)
-    return _sum_over(
-        classes, lambda cl: cl.class_size * q ** cl.dim_centralizer(), threads
-    )
+    return _count_by_type(n, spec, spec.zero, limits)
 
 
 def count_group_pairs(
@@ -492,6 +578,7 @@ def count_group_pairs(
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
+    spec.ensure_tables()
     if strategy == "class":
         classes = enumerate_classes(n, spec, True, limits)
         fixed = sum(1 for cl in classes if cl.twisted(zeta) == cl)
@@ -526,13 +613,10 @@ def count_w(
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
+    spec.ensure_tables()
     if strategy == "class":
         classes = enumerate_classes(n, spec, True, limits)
-        return _sum_over(
-            classes,
-            lambda cl: cl.class_size if cl.twisted(zeta) == cl else 0,
-            threads,
-        )
+        return sum(cl.class_size for cl in classes if cl.twisted(zeta) == cl)
     if strategy != "brute":
         raise ValueError("unknown strategy %r" % strategy)
     if spec.q ** (n * n) > limits.max_brute:

@@ -2,8 +2,8 @@
 
 All results are emitted as a single JSON document on stdout; human-readable
 summaries go to stderr.  Runs are deterministic for a given configuration:
-all randomness flows from --seed, and class-based counts are independent of
---threads.
+all randomness flows from --seed.  --threads is accepted and ignored; every
+census runs in one thread.
 
 Exit status: 0 all checks pass, 1 a mathematical check failed,
 2 configuration or feasibility error.
@@ -484,11 +484,11 @@ def _cmd_count(args) -> int:
             if args.variety == "lie":
                 c = spec.parse(args.c) if args.c else spec.one
                 value = census.count_lie_pairs(
-                    args.n, spec, c, strategy, limits, args.threads
+                    args.n, spec, c, strategy, limits
                 )
             elif args.variety == "commuting":
                 value = census.count_commuting_pairs(
-                    args.n, spec, strategy, limits, args.threads
+                    args.n, spec, strategy, limits
                 )
             else:
                 zeta = gf.root_of_unity(spec, args.d)
@@ -496,11 +496,11 @@ def _cmd_count(args) -> int:
                 extra.setdefault("zeta", {})[str(q)] = str(zeta)
                 if args.variety == "group":
                     value = census.count_group_pairs(
-                        args.n, spec, zeta, strategy, limits, args.threads
+                        args.n, spec, zeta, strategy, limits
                     )
                 else:  # W
                     value = census.count_w(
-                        args.n, spec, zeta, strategy, limits, args.threads
+                        args.n, spec, zeta, strategy, limits
                     )
             per_strategy[strategy] = value
             counts.append((q, value, strategy))
@@ -599,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact commutator-variety constructions, checks, and censuses over finite fields.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--threads", type=int, default=1, help="parallel class census")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--max-classes", type=int, default=census.DEFAULT_LIMITS.max_classes)
     parser.add_argument("--max-brute", type=int, default=census.DEFAULT_LIMITS.max_brute,
                         help="brute scan limit (env %s overrides)" % ENV_MAX_BRUTE)

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,20 @@ def test_limit_exceeded():
         cs.count_lie_pairs(2, F5, 1, "brute", tiny)
     with pytest.raises(LimitExceeded):
         cs.count_w(3, F5, F5.el(4), "brute", tiny)
+    # Lie and commuting class counts are bounded by the number of class
+    # types, which does not depend on q
+    three = cs.CensusLimits(max_classes=3)
+    with pytest.raises(LimitExceeded):
+        cs.count_lie_pairs(4, F2, 1, "class", three)
+    with pytest.raises(LimitExceeded):
+        cs.count_commuting_pairs(4, F2, "class", three)
+    # refused from the count of types alone, before any type is listed
+    with pytest.raises(LimitExceeded):
+        cs.count_commuting_pairs(40, F2)
+    four = cs.CensusLimits(max_classes=4)
+    with pytest.raises(LimitExceeded):
+        cs.enumerate_classes(2, F4, limits=four)
+    assert cs.count_commuting_pairs(2, F4, "class", four) == 5056
 
 
 def test_estimate_dimension():
@@ -248,6 +266,80 @@ def test_consistency_iff_divisibility_per_class():
                 part % spec.p == 0 for _, lam in cl.data for part in lam
             )
             assert consistent == divisible, cl.data
+
+
+def test_class_types():
+    assert cs.class_types(2) == (
+        ((1, (1,)), (1, (1,))),
+        ((1, (2,)),),
+        ((1, (1, 1)),),
+        ((2, (1,)),),
+    )
+    assert len(cs.class_types(4)) == 22
+    assert len(cs.class_types(6)) == 103
+    for n in range(1, 9):
+        assert cs._num_class_types(n) == len(cs.class_types(n))
+
+
+def test_type_sum_equals_per_class_kernel_sum():
+    # reference: the per-class sum over enumerated classes, with the
+    # solution count of [A, B] = cI taken from the ad-rank elimination
+    for spec in (F2, F3, F4):
+        q = spec.q
+        for n in range(1, 5):
+            classes = cs.enumerate_classes(n, spec)
+            for c in (spec.one, spec.zero):
+                total = 0
+                for cl in classes:
+                    rank, consistent = cs._ad_rank_consistency(cl.representative, c)
+                    assert rank == n * n - cl.dim_centralizer(), cl.data
+                    if consistent:
+                        total += cl.class_size * q ** (n * n - rank)
+                assert cs.count_lie_pairs(n, spec, c) == total, (n, q, c)
+
+
+def test_commuting_n2_matches_feit_fine():
+    for p, k in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        q = p**k
+        assert cs.count_commuting_pairs(2, gf.field(p, k)) == q**6 + q**5 - q**3
+
+
+def test_counts_build_field_tables_for_every_strategy():
+    # brute scans over an extension field run on the lookup tables, also
+    # when no class count has built them on the same spec before
+    counts = [
+        lambda s: cs.count_lie_pairs(1, s, 1, "brute"),
+        lambda s: cs.count_commuting_pairs(1, s, "brute"),
+        lambda s: cs.count_group_pairs(1, s, s.el(2), "brute"),
+        lambda s: cs.count_w(1, s, s.el(2), "brute"),
+    ]
+    for count in counts:
+        fresh = gf.FieldSpec(3, 2, gf.field(3, 2).modulus)
+        count(fresh)
+        assert fresh._mul_t is not None
+
+
+def test_type_sum_checks_fire_under_optimize():
+    # a wrong irreducible count breaks the class-size identity; the check
+    # must raise even where python -O strips assert statements
+    src = str(Path(cs.__file__).resolve().parents[1])
+    code = (
+        "from commvar import census, gf, polyring\n"
+        "from commvar.errors import MathCheckFailed\n"
+        "real = polyring.num_irreducibles\n"
+        "polyring.num_irreducibles = lambda q, d: real(q, d) + (d == 2)\n"
+        "try:\n"
+        "    census.count_lie_pairs(2, gf.field(2), 1)\n"
+        "except MathCheckFailed as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: class types at n=2 q=2 cover 18 matrices")
 
 
 def test_count_report_schema():
