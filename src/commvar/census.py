@@ -5,11 +5,15 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
 * brute: literal enumeration (pair scan at tiny sizes, otherwise a scan of
   all A with an exact per-matrix linear solve);
-* class: for Lie and commuting pairs, a sum over Green's class types of
+* class: the exact point-count polynomial of the variety, evaluated at q.
+  For Lie and commuting pairs it is a sum over Green's class types of
   M_n(F_q) (multisets of (degree, partition)), each weighted by its number
-  of classes, its class size and q^dim C; for group pairs and W, a sum over
-  the enumerated conjugacy classes of GL_n(F_q), with exact centralizer
-  orders and the zeta-twist of each class.
+  of classes, its class size and q^dim C; for group pairs and W it is a sum
+  over the zeta-twist orbits of those types, valid for q = 1 (mod ord zeta).
+
+Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
+classes one by one; the counters do not use it, and the tests compare the
+polynomials against it.
 
 Counts are unbounded integers end to end; dimension fitting uses Decimal
 logarithms at 50 significant digits.  The counters' threads parameter is
@@ -31,7 +35,7 @@ import numpy as np
 from . import polyring
 from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec
-from .matgf import Mat, block_diag, companion, invariant_factors, primary_data
+from .matgf import Mat, block_diag, companion, invariant_factors, primary_data, rref
 from .polyring import Poly
 
 getcontext().prec = 50
@@ -106,17 +110,13 @@ def _centralizer_factors(data) -> tuple[int, list[int]]:
     return power, ks
 
 
-def _order_from_factors(factors, q: int) -> int:
-    power, ks = factors
+def centralizer_order_from_primary(data, q: int) -> int:
+    """Exact order of the GL-centralizer of a matrix with the given primary data."""
+    power, ks = _centralizer_factors(data)
     total = q**power
     for k in ks:
         total *= q**k - 1
     return total
-
-
-def centralizer_order_from_primary(data, q: int) -> int:
-    """Exact order of the GL-centralizer of a matrix with the given primary data."""
-    return _order_from_factors(_centralizer_factors(data), q)
 
 
 def dim_centralizer_from_primary(data) -> int:
@@ -319,15 +319,6 @@ def _num_class_types(n: int) -> int:
     return _num_multisets(range(1, n + 1), n)
 
 
-@functools.lru_cache(maxsize=None)
-def _type_table(n: int):
-    """(type, centralizer factors, dim C) for every class type of M_n."""
-    return tuple(
-        (ctype, _centralizer_factors(ctype), dim_centralizer_from_primary(ctype))
-        for ctype in class_types(n)
-    )
-
-
 def _check_type_limit(num_types: int, n: int, limits: CensusLimits) -> None:
     if num_types > limits.max_classes:
         raise LimitExceeded(
@@ -340,8 +331,8 @@ def _type_multiplicity(ctype, kind_count):
 
     Entries of one kind take distinct objects of that kind (irreducibles of
     a degree, or twist orbits), so each kind contributes a falling factorial
-    of kind_count(kind); entries that repeat m times are unordered, hence the
-    divisor m!.  Works on ints and on QPoly alike.
+    of kind_count(kind), a QPoly; entries that repeat m times are unordered,
+    hence the divisor m!.
     """
     product = 1
     used = Counter()
@@ -354,48 +345,6 @@ def _type_multiplicity(ctype, kind_count):
     for mult in Counter(ctype).values():
         divisor *= math.factorial(mult)
     return product, divisor
-
-
-def _classes_of_type(ctype, q: int) -> int:
-    """How many classes of M_n(F_q) have the given type."""
-    product, divisor = _type_multiplicity(
-        ctype, lambda d: polyring.num_irreducibles(q, d)
-    )
-    return product // divisor
-
-
-def _count_by_type(n: int, spec: FieldSpec, c: Fe, limits: CensusLimits) -> int:
-    """#{(A, B) : AB - BA = cI} as a sum over class types.
-
-    A matrix of a given type has a centralizer of dimension dim C, so the B
-    solving [A, B] = cI form a coset of it or nothing.  For c = 0 every type
-    counts; for c != 0 a type counts iff every part of every partition is
-    divisible by p.
-    """
-    _check_type_limit(_num_class_types(n), n, limits)
-    q = spec.q
-    gl = gl_order(n, q)
-    total = 0
-    matrices = 0
-    for ctype, factors, dim in _type_table(n):
-        classes = _classes_of_type(ctype, q)
-        if not classes:
-            continue
-        size, rem = divmod(gl, _order_from_factors(factors, q))
-        if rem:
-            raise MathCheckFailed(
-                "centralizer order does not divide |GL| for type %r" % (ctype,)
-            )
-        matrices += classes * size
-        if not c or all(part % spec.p == 0 for _, lam in ctype for part in lam):
-            total += classes * size * q**dim
-    if matrices != q ** (n * n):
-        raise MathCheckFailed(
-            "class types at n=%d q=%d cover %d matrices, not q^(n^2)" % (n, q, matrices)
-        )
-    variety = "lie" if c else "commuting"
-    poly = point_count_polynomial(variety, n, spec.p, limits=limits)
-    return _check_count(total, poly, q, variety)
 
 
 # -- point-count polynomials ----------------------------------------------------
@@ -590,12 +539,12 @@ def _lie_polynomial(n: int, p: int) -> QPoly:
     """
     covering = []
     terms = []
-    for ctype, factors, dim in _type_table(n):
+    for ctype in class_types(n):
         product, divisor = _type_multiplicity(ctype, _irreducible_count_poly)
-        matrices = product * _class_size_poly(n, factors) / divisor
+        matrices = product * _class_size_poly(n, _centralizer_factors(ctype)) / divisor
         covering.append(matrices)
         if not p or all(part % p == 0 for _, lam in ctype for part in lam):
-            terms.append(matrices.shift(dim))
+            terms.append(matrices.shift(dim_centralizer_from_primary(ctype)))
     covered = QPoly.sum(covering)
     if covered != _q_power(n * n):
         raise MathCheckFailed(
@@ -712,13 +661,21 @@ def _multiplicative_order(x: Fe) -> int:
     return min(k for k in range(1, order + 1) if order % k == 0 and x**k == x.spec.one)
 
 
-def _check_count(count: int, poly: QPoly, q: int, what: str) -> int:
-    if poly(q) != count:
-        raise MathCheckFailed(
-            "%s at q=%d: class count %d, but the point-count polynomial %s gives %s"
-            % (what, q, count, poly, poly(q))
-        )
-    return count
+def _value_at(poly: QPoly, q: int) -> int:
+    """poly(q), which must be an integer: it counts points."""
+    value = poly(q)
+    if not isinstance(value, int):
+        raise MathCheckFailed("point-count polynomial %s gives %s at q=%d" % (poly, value, q))
+    return value
+
+
+def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int:
+    """The group or W count from the twist polynomial of zeta's order d.
+
+    zeta of order d exists only for q = 1 (mod d), where that polynomial holds.
+    """
+    d = _multiplicative_order(zeta)
+    return _value_at(point_count_polynomial(variety, n, d=d, limits=limits), spec.q)
 
 
 # -- rank / consistency of the commutator system, per matrix -------------------
@@ -856,12 +813,10 @@ def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
     if spec.q <= 256:
         return _np_rank_consistent_tables(np.array(rows, dtype=np.int16), spec)
     # large extension field: exact object-level reduction
-    from .matgf import _rref_rows
-
-    _, rank, pivots = _rref_rows(spec, rows)
-    if pivots and pivots[-1] == n * n:
-        return rank - 1, False
-    return rank, True
+    reduced = rref(Mat(spec, rows))
+    if reduced.pivots and reduced.pivots[-1] == n * n:
+        return reduced.rank - 1, False
+    return reduced.rank, True
 
 
 # -- counting ------------------------------------------------------------------
@@ -881,12 +836,16 @@ def count_lie_pairs(
     threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB - BA = cI}."""
-    c = spec.el(c)
+    return _count_lie(n, spec, spec.el(c), strategy, limits)
+
+
+def _count_lie(n: int, spec: FieldSpec, c: Fe, strategy: str, limits: CensusLimits) -> int:
     # every strategy builds the field tables up front: without them, brute
     # scans over extension fields run on slow polynomial arithmetic
     spec.ensure_tables()
     if strategy == "class":
-        return _count_by_type(n, spec, c, limits)
+        variety = "lie" if c else "commuting"
+        return _value_at(point_count_polynomial(variety, n, spec.p, limits=limits), spec.q)
     if strategy == "brute":
         return _count_lie_brute(n, spec, c, limits)
     raise ValueError("unknown strategy %r" % strategy)
@@ -926,12 +885,7 @@ def count_commuting_pairs(
     threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB = BA}; the c = 0 commutator count."""
-    spec.ensure_tables()
-    if strategy == "brute":
-        return _count_lie_brute(n, spec, spec.zero, limits)
-    if strategy != "class":
-        raise ValueError("unknown strategy %r" % strategy)
-    return _count_by_type(n, spec, spec.zero, limits)
+    return _count_lie(n, spec, spec.zero, strategy, limits)
 
 
 def count_group_pairs(
@@ -945,19 +899,15 @@ def count_group_pairs(
     """#{(x, y) in GL_n(F_q)^2 : x^-1 y^-1 x y = zeta I}.
 
     Class strategy: |GL_n(q)| times the number of invertible classes fixed
-    by the zeta-twist (solution sets over a fixed x are centralizer cosets).
+    by the zeta-twist (solution sets over a fixed x are centralizer cosets),
+    as the point-count polynomial of zeta's order.
     """
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
     spec.ensure_tables()
     if strategy == "class":
-        classes = enumerate_classes(n, spec, True, limits)
-        fixed = sum(1 for cl in classes if cl.twisted(zeta) == cl)
-        poly = point_count_polynomial(
-            "group", n, d=_multiplicative_order(zeta), limits=limits
-        )
-        return _check_count(gl_order(n, spec.q) * fixed, poly, spec.q, "group")
+        return _twist_count("group", n, spec, zeta, limits)
     if strategy != "brute":
         raise ValueError("unknown strategy %r" % strategy)
     q = spec.q
@@ -990,10 +940,7 @@ def count_w(
         raise ValueError("zeta must be a unit")
     spec.ensure_tables()
     if strategy == "class":
-        classes = enumerate_classes(n, spec, True, limits)
-        total = sum(cl.class_size for cl in classes if cl.twisted(zeta) == cl)
-        poly = point_count_polynomial("W", n, d=_multiplicative_order(zeta), limits=limits)
-        return _check_count(total, poly, spec.q, "W")
+        return _twist_count("W", n, spec, zeta, limits)
     if strategy != "brute":
         raise ValueError("unknown strategy %r" % strategy)
     if spec.q ** (n * n) > limits.max_brute:
@@ -1004,9 +951,6 @@ def count_w(
         if x.is_invertible() and invariant_factors(x) == invariant_factors(zi @ x):
             count += 1
     return count
-
-
-count_W = count_w  # census naming used by the CLI
 
 
 # -- dimension estimation --------------------------------------------------------

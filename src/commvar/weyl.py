@@ -19,10 +19,12 @@ from .gf import Fe, FieldSpec
 from .matgf import (
     AffineMatSpace,
     Mat,
+    ad_matrix,
     commutator_solutions,
     is_regular,
     lie_commutator,
     poly_at_matrix,
+    rank,
 )
 from .polyring import Poly
 
@@ -43,8 +45,6 @@ class WeylPair:
         The span of the products A^i B^j for 0 <= i, j < p; the Weyl
         relation rewrites every word into this span.
         """
-        from .matgf import _rref_rows, _vec
-
         spec = self.a.spec
         p = self.p
         rows = []
@@ -52,10 +52,10 @@ class WeylPair:
         for _ in range(p):
             cur = apow
             for _ in range(p):
-                rows.append(list(_vec(cur)))
+                rows.append([x for row in cur.rows for x in row])
                 cur = cur @ self.b
             apow = apow @ self.a
-        return _rref_rows(spec, rows)[1]
+        return rank(Mat(spec, rows))
 
     def central_scalars(self) -> tuple[Fe, Fe]:
         """(alpha^p, beta^p): the scalars by which A^p and B^p act."""
@@ -307,13 +307,8 @@ def generic_split_pair(spec: FieldSpec, a_scalars, b_scalars) -> tuple[Mat, Mat]
 
 def joint_centralizer_dimension(a: Mat, b: Mat) -> int:
     """dim {Z : ZA = AZ and ZB = BZ} as a vector space."""
-    from .matgf import _rref_rows, ad_matrix
-
-    spec = a.spec
-    rows = [list(r) for r in ad_matrix(a).rows]
-    rows.extend(list(r) for r in ad_matrix(b).rows)
-    rank = _rref_rows(spec, rows)[1]
-    return a.n_rows**2 - rank
+    stacked = Mat(a.spec, ad_matrix(a).rows + ad_matrix(b).rows)
+    return a.n_rows**2 - rank(stacked)
 
 
 @dataclass(frozen=True)

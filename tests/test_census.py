@@ -234,6 +234,14 @@ def test_limit_exceeded():
         cs.point_count_polynomial("commuting", 4, limits=three)
     with pytest.raises(LimitExceeded):
         cs.point_count_polynomial("group", 4, d=2, limits=three)
+    # group and W class counts are bounded by the number of twist types
+    with pytest.raises(LimitExceeded):
+        cs.count_group_pairs(4, F5, gf.root_of_unity(F5, 2), "class", three)
+    # ... and not by the number of classes, which refuses enumeration at q = 81
+    f81 = gf.field(3, 4)
+    zeta = gf.root_of_unity(f81, 2)
+    assert cs.count_group_pairs(4, f81, zeta) == cs.point_count_polynomial("group", 4, d=2)(81)
+    assert cs.count_w(4, f81, zeta) == cs.point_count_polynomial("W", 4, d=2)(81)
     four = cs.CensusLimits(max_classes=4)
     with pytest.raises(LimitExceeded):
         cs.enumerate_classes(2, F4, limits=four)
@@ -329,14 +337,15 @@ def test_counts_build_field_tables_for_every_strategy():
 
 
 def test_type_sum_checks_fire_under_optimize():
-    # a wrong irreducible count breaks the class-size identity; the check
-    # must raise even where python -O strips assert statements
+    # a wrong irreducible count breaks the covering identity of the class
+    # types; the check must raise even where python -O strips assert
+    # statements
     src = str(Path(cs.__file__).resolve().parents[1])
     code = (
-        "from commvar import census, gf, polyring\n"
+        "from commvar import census, gf\n"
         "from commvar.errors import MathCheckFailed\n"
-        "real = polyring.num_irreducibles\n"
-        "polyring.num_irreducibles = lambda q, d: real(q, d) + (d == 2)\n"
+        "real = census._irreducible_count_poly\n"
+        "census._irreducible_count_poly = lambda d: real(d) + int(d == 2)\n"
         "try:\n"
         "    census.count_lie_pairs(2, gf.field(2), 1)\n"
         "except MathCheckFailed as exc:\n"
@@ -348,7 +357,7 @@ def test_type_sum_checks_fire_under_optimize():
         text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("raised: class types at n=2 q=2 cover 18 matrices")
+    assert out.stdout == "raised: class types at n=2 cover q^4+q^2-q matrices, not q^4\n"
 
 
 def test_count_report_schema():
@@ -403,12 +412,8 @@ def test_commuting_polynomials():
 
 
 def test_lie_polynomials_equal_type_sum():
-    for spec in (F2, F3, F4):
-        for n in range(1, 5):
-            for c, variety in ((spec.one, "lie"), (spec.zero, "commuting")):
-                poly = cs.point_count_polynomial(variety, n, p=spec.p)
-                count = cs._count_by_type(n, spec, c, cs.DEFAULT_LIMITS)
-                assert poly(spec.q) == count, (n, spec.q, variety)
+    # the class counts are these polynomials at q; the per-class kernel sum
+    # checks them in test_type_sum_equals_per_class_kernel_sum.
     # degree n^2 + n/p where p | n, the zero polynomial where p does not
     assert cs.point_count_polynomial("lie", 3, p=3).degree == 10
     assert cs.point_count_polynomial("lie", 4, p=2).degree == 18
@@ -442,31 +447,30 @@ def test_point_count_polynomial_arguments():
 
 
 def test_polynomial_mismatch_fires_under_optimize():
-    # a wrong polynomial must be caught against the class count, also
-    # where python -O strips assert statements
+    # a wrong polynomial must be caught against the brute count by
+    # "count --strategy both", also where python -O strips assert statements
     src = str(Path(cs.__file__).resolve().parents[1])
     code = (
-        "from commvar import census, gf\n"
-        "from commvar.errors import MathCheckFailed\n"
+        "import sys\n"
+        "from commvar import census, cli\n"
         "census._lie_polynomial = lambda n, p: census.QPoly((0, 1))\n"
         "census._twist_polynomials = lambda n, d: (census.QPoly((1,)),) * 2\n"
-        "f3 = gf.field(3)\n"
-        "for count in (lambda: census.count_commuting_pairs(2, gf.field(2)),\n"
-        "              lambda: census.count_group_pairs(2, f3, f3.el(2)),\n"
-        "              lambda: census.count_w(2, f3, f3.el(2))):\n"
-        "    try:\n"
-        "        count()\n"
-        "    except MathCheckFailed as exc:\n"
-        "        print('raised:', exc)\n"
+        "for argv in (['commuting', '--n', '2', '--qs', '2'],\n"
+        "             ['group', '--n', '2', '--d', '2', '--qs', '3'],\n"
+        "             ['W', '--n', '2', '--d', '2', '--qs', '3']):\n"
+        "    code = cli.main(['count'] + argv + ['--strategy', 'both'])\n"
+        "    print('exit', code, file=sys.stderr)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True,
         text=True, timeout=120,
     )
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert len(lines) == 3, out.stdout
-    assert lines[0].startswith("raised: commuting at q=2: class count 88, but")
-    assert lines[1].startswith("raised: group at q=3: class count 96, but")
-    assert lines[2].startswith("raised: W at q=3: class count 18, but")
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 6, out.stderr
+    for failure, brute, q in zip(lines[::2], (88, 96, 18), (2, 3, 3)):
+        assert failure.startswith(
+            "mathematical check failed: brute count %d at q=%d differs" % (brute, q)
+        ), failure
+    assert lines[1::2] == ["exit 1"] * 3

@@ -129,6 +129,17 @@ def test_count_w_expect(capsys):
     assert doc["fitted_dimension"] == 3 and doc["match"] is True
 
 
+def test_count_empty_lie_variety(capsys):
+    # p does not divide n: the trace obstruction leaves no points, and there
+    # is no growth exponent to fit
+    code, doc = run_json(capsys, ["count", "lie", "--p", "3", "--n", "2", "--qs", "3,9"])
+    assert code == 0
+    assert [c["count"] for c in doc["counts"]] == ["0", "0"]
+    assert doc["point_count_polynomial"] == "0"
+    for key in ("exact_dimension", "fitted_dimension", "raw_exponent", "residual", "match"):
+        assert doc[key] is None, key
+
+
 def test_count_commuting(capsys):
     code, doc = run_json(
         capsys, ["count", "commuting", "--n", "2", "--qs", "2,4", "--expect"]
@@ -160,6 +171,9 @@ def test_dims_commands(capsys):
 def test_config_errors_exit_2(capsys):
     code, _, err = run(capsys, ["count", "group", "--n", "3", "--d", "2", "--qs", "3,9"])
     assert code == 2 and "error" in err
+    # d must divide n for group and W alike, also for a single field size
+    code, _, err = run(capsys, ["count", "W", "--n", "3", "--d", "2", "--qs", "3"])
+    assert code == 2 and "d must divide n" in err
     code, _, err = run(capsys, ["count", "lie", "--n", "2", "--qs", "6,36"])
     assert code == 2
     code, _, err = run(capsys, ["count", "lie", "--p", "3", "--n", "2", "--qs", "2,4"])
