@@ -4,7 +4,8 @@ Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
 the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
 * brute: literal enumeration (pair scan at tiny sizes, otherwise a scan of
-  all A with an exact per-matrix linear solve);
+  all A solving ad_A(B) = cI exactly per matrix: bitsliced over F_2, by
+  matgf.rref over every other field);
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For Lie and commuting pairs it is a sum over Green's class types of
   M_n(F_q) (multisets of (degree, partition)), each weighted by its number
@@ -30,12 +31,19 @@ from dataclasses import dataclass, field as dc_field
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-import numpy as np
-
 from . import polyring
 from .errors import LimitExceeded, MathCheckFailed
-from .gf import Fe, FieldSpec
-from .matgf import Mat, block_diag, companion, invariant_factors, primary_data, rref
+from .gf import Fe, FieldSpec, _prime_divisors
+from .matgf import (
+    Mat,
+    ad_matrix,
+    block_diag,
+    companion,
+    invariant_factors,
+    primary_data,
+    rref,
+    vec,
+)
 from .polyring import Poly
 
 getcontext().prec = 50
@@ -561,7 +569,7 @@ def _twist_fixed_count_poly(m: int, s: int) -> QPoly:
     (1/m) sum_{k|m, gcd(m/k, rad s) = 1} mu(m/k) (q^k - 1) prod_{l|s} (1 - 1/l).
     These are exactly the f != t of degree m*s fixed by the twists by mu_s.
     """
-    primes = polyring._prime_divisors(s)
+    primes = _prime_divisors(s)
     out = QPoly()
     for k in range(1, m + 1):
         if m % k == 0 and all((m // k) % ell for ell in primes):
@@ -656,11 +664,6 @@ def point_count_polynomial(
     raise ValueError("unknown variety %r" % variety)
 
 
-def _multiplicative_order(x: Fe) -> int:
-    order = x.spec.q - 1
-    return min(k for k in range(1, order + 1) if order % k == 0 and x**k == x.spec.one)
-
-
 def _value_at(poly: QPoly, q: int) -> int:
     """poly(q), which must be an integer: it counts points."""
     value = poly(q)
@@ -674,27 +677,11 @@ def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int
 
     zeta of order d exists only for q = 1 (mod d), where that polynomial holds.
     """
-    d = _multiplicative_order(zeta)
+    d = zeta.multiplicative_order()
     return _value_at(point_count_polynomial(variety, n, d=d, limits=limits), spec.q)
 
 
 # -- rank / consistency of the commutator system, per matrix -------------------
-
-_NP_TABLE_CACHE: dict = {}
-
-
-def _np_tables(spec: FieldSpec):
-    key = (spec.p, spec.k)
-    if key not in _NP_TABLE_CACHE:
-        spec.ensure_tables()
-        q = spec.q
-        mul = np.array(spec._mul_t, dtype=np.int16)
-        sub = np.array(
-            [[spec.sub(a, b) for b in range(q)] for a in range(q)], dtype=np.int16
-        )
-        _NP_TABLE_CACHE[key] = (mul, sub)
-    return _NP_TABLE_CACHE[key]
-
 
 def _gf2_rank_consistent(rows: list[int], ncols: int) -> tuple[int, bool]:
     """Bitsliced elimination; the bit at position ncols is the augmented column."""
@@ -717,60 +704,6 @@ def _gf2_rank_consistent(rows: list[int], ncols: int) -> tuple[int, bool]:
         rank += 1
     consistent = all(rows[i] == 0 for i in range(rank, m))
     return rank, consistent
-
-
-def _np_rank_consistent_prime(m: np.ndarray, p: int) -> tuple[int, bool]:
-    n_rows, n_cols_aug = m.shape
-    n_cols = n_cols_aug - 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        if m[r, c] != 1:
-            m[r] = m[r] * inv % p
-        below = m[r + 1 :]
-        factors = below[:, c]
-        mask = factors != 0
-        if mask.any():
-            below[mask] = (below[mask] - np.outer(factors[mask], m[r])) % p
-        r += 1
-    consistent = not np.any(m[r:, -1])
-    return r, consistent
-
-
-def _np_rank_consistent_tables(m: np.ndarray, spec: FieldSpec) -> tuple[int, bool]:
-    mul, sub = _np_tables(spec)
-    n_rows, n_cols_aug = m.shape
-    n_cols = n_cols_aug - 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = spec.inv(int(m[r, c]))
-        if int(m[r, c]) != spec.one_idx:
-            m[r] = mul[inv, m[r]]
-        below = m[r + 1 :]
-        factors = below[:, c]
-        mask = factors != 0
-        if mask.any():
-            prod = mul[factors[mask][:, None], m[r][None, :]]
-            below[mask] = sub[below[mask], prod]
-        r += 1
-    consistent = not np.any(m[r:, -1])
-    return r, consistent
 
 
 def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
@@ -796,24 +729,9 @@ def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
                     row |= aug
                 rows.append(row)
         return _gf2_rank_consistent(rows, nn)
-    sub = spec.sub
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [0] * (n * n + 1)
-            for k in range(n):
-                row[k * n + j] = a.rows[i][k]
-            for l in range(n):
-                row[i * n + l] = sub(row[i * n + l], a.rows[l][j])
-            if i == j:
-                row[-1] = c.idx
-            rows.append(row)
-    if spec.k == 1:
-        return _np_rank_consistent_prime(np.array(rows, dtype=np.int64), spec.p)
-    if spec.q <= 256:
-        return _np_rank_consistent_tables(np.array(rows, dtype=np.int16), spec)
-    # large extension field: exact object-level reduction
-    reduced = rref(Mat(spec, rows))
+    # every other field: append the cI column to ad_A and reduce exactly
+    ci = vec(Mat.scalar(spec, n, c))
+    reduced = rref(Mat(spec, [row + (x,) for row, x in zip(ad_matrix(a).rows, ci)]))
     if reduced.pivots and reduced.pivots[-1] == n * n:
         return reduced.rank - 1, False
     return reduced.rank, True

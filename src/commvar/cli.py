@@ -540,8 +540,26 @@ def _cmd_count(args) -> int:
             % (args.variety, args.n, fit.fitted, expected, doc["residual"],
                report.exact_dimension)
         )
-    ok = (not args.expect) or (fit is not None and fit.fitted == expected)
-    return 0 if ok else 1
+    failure = _expect_failure(expected, fit, fit_points) if args.expect else None
+    if failure:
+        _say("--expect failed: " + failure)
+    return 1 if failure else 0
+
+
+def _expect_failure(expected, fit, fit_points) -> str | None:
+    """Why the counts contradict the dimension formula, or None if they agree."""
+    if expected is None:
+        # p does not divide n: the trace obstruction leaves the Lie variety empty
+        if any(count for _, count in fit_points):
+            return "the variety should be empty, but a count is nonzero"
+        return None
+    if fit is None:
+        # every variety with an expected dimension is nonempty, so only a
+        # single q leaves nothing to fit
+        return "fewer than two q values, so no dimension can be fitted"
+    if fit.fitted != expected:
+        return "fitted dimension %d, expected %d" % (fit.fitted, expected)
+    return None
 
 
 def _expected_dimension(args, p_char) -> int | None:

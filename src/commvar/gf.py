@@ -33,92 +33,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- minimal polynomial arithmetic over F_p (modulus search only) ----------
-# polyring provides the general machinery; gf stays self-contained so the
-# import order is gf -> polyring -> matgf -> ...
-
-def _fp_polymulmod(a, b, m, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce modulo monic m
-    dm = len(m) - 1
-    for i in range(len(res) - 1, dm - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(dm):
-                res[i - dm + j] = (res[i - dm + j] - c * m[j]) % p
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
-
-
-def _fp_polypow_q(a, q, m, p):
-    """a^q mod m over F_p by square and multiply."""
-    result = [1]
-    base = list(a)
-    e = q
-    while e:
-        if e & 1:
-            result = _fp_polymulmod(result, base, m, p)
-        base = _fp_polymulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b != [0] and b:
-        # a mod b
-        db = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) - 1 >= db and any(r):
-            if r[-1]:
-                c = r[-1] * inv_lead % p
-                for j in range(db + 1):
-                    r[len(r) - 1 - db + j] = (r[len(r) - 1 - db + j] - c * b[j]) % p
-            r.pop()
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if not r:
-            r = [0]
-        a, b = b, r
-    return a
-
-
-def _fp_is_irreducible(coeffs, p) -> bool:
-    """Rabin test for a monic polynomial over F_p (coeffs constant-first)."""
-    d = len(coeffs) - 1
-    if d < 1:
-        return False
-    t = [0, 1]
-    # t^(p^d) == t mod f
-    h = list(t)
-    for _ in range(d):
-        h = _fp_polypow_q(h, p, coeffs, p)
-    if len(h) != 2 or h[0] != 0 or h[1] != 1:
-        return False
-    # for each prime divisor l of d: gcd(t^(p^(d/l)) - t, f) == 1
-    for ell in _prime_divisors(d):
-        h = list(t)
-        for _ in range(d // ell):
-            h = _fp_polypow_q(h, p, coeffs, p)
-        diff = list(h) + [0] * (2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        while len(diff) > 1 and diff[-1] == 0:
-            diff.pop()
-        if diff == [0]:
-            return False
-        g = _fp_gcd(coeffs, diff, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 def _prime_divisors(n: int):
     out = []
     d = 2
@@ -130,47 +44,6 @@ def _prime_divisors(n: int):
         d += 1
     if n > 1:
         out.append(n)
-    return out
-
-
-def _fp_divmod(a, b, p):
-    """Division with remainder for F_p coefficient lists (constant first)."""
-    if b == [0] or not b:
-        raise ZeroDivisionError
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [0], a
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            c = c * inv_lead % p
-            quo[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return quo, (a if a else [0])
-
-
-def _fp_addmul(a, q, b, p, sign):
-    """a + sign * q * b over F_p (lists, constant first)."""
-    prod = [0] * (len(q) + len(b) - 1)
-    for i, x in enumerate(q):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    n = max(len(a), len(prod))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = prod[i] if i < len(prod) else 0
-        out[i] = (x + sign * y) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
     return out
 
 
@@ -268,25 +141,7 @@ class FieldSpec:
         t = self._inv_t
         if t is not None:
             return t[a]
-        return self._inv_euclid(a)
-
-    def _inv_euclid(self, a: int) -> int:
-        """Inverse by extended Euclid against the modulus."""
-        p = self.p
-        coeffs = list(self.idx_to_coeffs(a))
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        r0, s0 = list(self.modulus), [0]
-        r1, s1 = coeffs, [1]
-        while r1 != [0]:
-            q, rem = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fp_addmul(s0, q, s1, p, -1)
-        # r0 is a nonzero constant: scale its Bezout coefficient
-        c_inv = pow(r0[0], p - 2, p)
-        out = [x * c_inv % p for x in s0]
-        out += [0] * (self.k - len(out))
-        return self.coeffs_to_idx(out[: self.k])
+        return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -322,10 +177,8 @@ class FieldSpec:
         self._add_t = [[self.add(a, b) for b in range(q)] for a in range(q)]
         self._neg_t = [self.neg(a) for a in range(q)]
         self._mul_t = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv_t = [0] * q
-        for a in range(1, q):
-            inv_t[a] = self._inv_euclid(a)
-        self._inv_t = inv_t
+        one = self.one_idx
+        self._inv_t = [0] + [row.index(one) for row in self._mul_t[1:]]
 
     # -- element construction ------------------------------------------------
 
@@ -507,6 +360,9 @@ def _field(p: int, k: int) -> FieldSpec:
         raise ValueError("extension degree must be >= 1, got %d" % k)
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
+    from . import polyring  # deferred: polyring depends on gf
+
+    prime = _field(p, 1)
     # candidates in lexicographic coefficient order; constant term 0 is
     # divisible by t, so start at c0 = 1
     for c0 in range(1, p):
@@ -515,7 +371,7 @@ def _field(p: int, k: int) -> FieldSpec:
             if (sum(low) + 1) % p == 0:
                 continue  # root at 1
             coeffs = low + (1,)
-            if _fp_is_irreducible(list(coeffs), p):
+            if polyring.is_irreducible(polyring.Poly(prime, coeffs)):
                 return FieldSpec(p, k, coeffs)
     raise AssertionError("unreachable: irreducible polynomial of every degree exists")
 

@@ -12,6 +12,7 @@ element text form, e.g. "0,0;1,0".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import polyring
@@ -356,11 +357,11 @@ def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
     for free in range(n_cols):
         if free in pivot_set:
             continue
-        vec = [0] * n_cols
-        vec[free] = spec.one_idx
+        v = [0] * n_cols
+        v[free] = spec.one_idx
         for r, pc in enumerate(pivots):
-            vec[pc] = spec.neg(rows[r][free])
-        basis.append(tuple(vec))
+            v[pc] = spec.neg(rows[r][free])
+        basis.append(tuple(v))
     return basis
 
 
@@ -406,7 +407,8 @@ def ad_matrix(a: Mat) -> Mat:
     return Mat(spec, rows)
 
 
-def _vec(m: Mat) -> tuple[int, ...]:
+def vec(m: Mat) -> tuple[int, ...]:
+    """Row-major vectorization, the coordinates ad_matrix acts on."""
     return tuple(x for row in m.rows for x in row)
 
 
@@ -437,8 +439,8 @@ class AffineMatSpace:
         if not self.basis:
             return diff.is_zero
         spec = m.spec
-        cols = Mat.from_cols(spec, [_vec(b) for b in self.basis])
-        return solve_affine(cols, _vec(diff)) is not None
+        cols = Mat.from_cols(spec, [vec(b) for b in self.basis])
+        return solve_affine(cols, vec(diff)) is not None
 
 
 def commutator_solutions(a: Mat, c: Mat):
@@ -446,7 +448,7 @@ def commutator_solutions(a: Mat, c: Mat):
     if not (a.is_square and c.is_square and a.n_rows == c.n_rows):
         raise ValueError("shape mismatch")
     n = a.n_rows
-    sol = solve_affine(ad_matrix(a), _vec(c))
+    sol = solve_affine(ad_matrix(a), vec(c))
     if sol is None:
         return None
     particular, kernel = sol
@@ -794,19 +796,13 @@ def splitting_field(a: Mat, seed: int = 0, max_degree: int = MAX_SPLITTING_DEGRE
     data = primary_data(a, seed)
     m = 1
     for f, _ in data:
-        m = _lcm(m, f.degree)
+        m = math.lcm(m, f.degree)
     if spec.k * m > max_degree:
         raise LimitExceeded(
             "splitting field degree %d exceeds limit %d" % (spec.k * m, max_degree)
         )
     ext = field(spec.p, spec.k * m)
     return ext, data, inf
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 def jordan_type(a: Mat, seed: int = 0) -> JordanType:

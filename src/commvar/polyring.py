@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .errors import LimitExceeded
-from .gf import Fe, FieldSpec
+from .gf import Fe, FieldSpec, _prime_divisors
 
 DEFAULT_ENUM_LIMIT = 1 << 22
 
@@ -300,20 +300,6 @@ def gcd(f: Poly, g: Poly) -> Poly:
     if f.spec != g.spec:
         raise ValueError("mismatched fields")
     return Poly(f.spec, pgcd(f.spec, f.coeffs, g.coeffs))
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _pow_q_mod(spec: FieldSpec, f, m, times: int):

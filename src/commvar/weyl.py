@@ -25,6 +25,8 @@ from .matgf import (
     lie_commutator,
     poly_at_matrix,
     rank,
+    solve_affine,
+    vec,
 )
 from .polyring import Poly
 
@@ -217,18 +219,15 @@ class SolutionFamily:
 
     def decompose(self, candidate: Mat):
         """Recover f with candidate = Y + f(X), or None if not in the family."""
-        from .matgf import Mat as _M
-        from .matgf import _vec, solve_affine
-
         spec = self.x.spec
         n = self.x.n_rows
         cols = []
         cur = Mat.identity(spec, n)
         for _ in range(n):
-            cols.append(_vec(cur))
+            cols.append(vec(cur))
             cur = cur @ self.x
-        system = _M.from_cols(spec, cols)
-        sol = solve_affine(system, _vec(candidate - self.y))
+        system = Mat.from_cols(spec, cols)
+        sol = solve_affine(system, vec(candidate - self.y))
         if sol is None:
             return None
         return Poly(spec, sol[0])

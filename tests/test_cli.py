@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from commvar import cli
 
@@ -109,10 +113,12 @@ def test_count_strategy_both(capsys):
 def test_count_group_expect_mismatch_is_exit_1(capsys):
     # the exact counts at q in {3,9} fit exponent ~5.62, rounding to 6,
     # away from the formula value 5; --expect must report the mismatch
-    code, doc = run_json(
+    code, out, err = run(
         capsys, ["count", "group", "--n", "2", "--d", "2", "--qs", "3,9", "--expect"]
     )
     assert code == 1
+    assert err.splitlines()[-1] == "--expect failed: fitted dimension 6, expected 5"
+    doc = json.loads(out)
     assert doc["fitted_dimension"] == 6 and doc["expected_dimension"] == 5
     assert doc["match"] is False
     # the exact polynomial gives the formula value next to the fit
@@ -138,6 +144,32 @@ def test_count_empty_lie_variety(capsys):
     assert doc["point_count_polynomial"] == "0"
     for key in ("exact_dimension", "fitted_dimension", "raw_exponent", "residual", "match"):
         assert doc[key] is None, key
+
+
+def test_count_empty_lie_variety_with_expect(capsys):
+    # expected_dimension is null there, and --expect asks for every count 0
+    code, out, err = run(
+        capsys, ["count", "lie", "--p", "3", "--n", "2", "--qs", "3,9", "--expect"]
+    )
+    assert code == 0 and err == ""
+    assert [c["count"] for c in json.loads(out)["counts"]] == ["0", "0"]
+
+
+def test_count_expect_single_q_says_why(capsys):
+    code, out, err = run(capsys, ["count", "commuting", "--n", "2", "--qs", "2", "--expect"])
+    assert code == 1
+    assert json.loads(out)["fitted_dimension"] is None
+    assert err == "--expect failed: fewer than two q values, so no dimension can be fitted\n"
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, commvar.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
 
 
 def test_count_commuting(capsys):

@@ -50,12 +50,24 @@ def test_division_by_zero_and_mismatch():
         f5.el(1) + gf.field(3).el(1)
 
 
+def test_seed_moduli_pinned():
+    # the lexicographically smallest monic irreducible of each degree
+    assert gf.field(2, 9).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+    assert gf.field(3, 6).modulus == (1, 0, 0, 0, 1, 1, 1)
+    assert gf.field(5, 4).modulus == (1, 0, 1, 1, 1)
+    assert gf.field(2, 16).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+
+
 def test_inverse_exhaustive_small_fields():
-    for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]:
+    # GF(5^2) inverts through its tables, GF(3^6) = 729 (too big for tables)
+    # by a power; the others as they come
+    gf.field(5, 2).ensure_tables()
+    for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 6)]:
         spec = gf.field(p, k)
         for a in spec.elements():
             if a:
                 assert a * (spec.one / a) == spec.one
+    assert gf.field(5, 2)._inv_t is not None and gf.field(3, 6)._inv_t is None
 
 
 def test_frobenius_fixes_prime_subfield():
