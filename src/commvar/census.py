@@ -3,9 +3,12 @@
 Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
 the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
-* brute: literal enumeration (pair scan at tiny sizes, otherwise a scan of
-  all A solving ad_A(B) = cI exactly per matrix: bitsliced over F_2, by
-  matgf.rref over every other field);
+* brute: literal enumeration.  At tiny sizes a Gray-code pair walk: B runs
+  through M_n(F_q) in Gray order for each A, adding one packed basis image
+  of B -> AB - BA per step, and every pair is compared with cI.  Otherwise
+  a scan of all A solving ad_A(B) = cI exactly per matrix: by elimination
+  of the packed ad_A images over characteristic 2, by forward elimination
+  of ad_matrix(A) over every other field;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For Lie and commuting pairs it is a sum over Green's class types of
   M_n(F_q) (multisets of (degree, partition)), each weighted by its number
@@ -26,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from decimal import Decimal, getcontext
@@ -41,7 +45,7 @@ from .matgf import (
     companion,
     invariant_factors,
     primary_data,
-    rref,
+    rank_and_consistency,
     vec,
 )
 from .polyring import Poly
@@ -681,60 +685,165 @@ def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int
     return _value_at(point_count_polynomial(variety, n, d=d, limits=limits), spec.q)
 
 
-# -- rank / consistency of the commutator system, per matrix -------------------
+# -- packed F_p-digit matrices and the Gray-code walk ----------------------------
 
-def _gf2_rank_consistent(rows: list[int], ncols: int) -> tuple[int, bool]:
-    """Bitsliced elimination; the bit at position ncols is the augmented column."""
-    m = len(rows)
-    rank = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(rank, m):
-            if rows[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, m):
-            if rows[i] & bit:
-                rows[i] ^= prow
-        rank += 1
-    consistent = all(rows[i] == 0 for i in range(rank, m))
-    return rank, consistent
+class _Packing:
+    """n x n matrices over GF(p^k) packed into one int of F_p-digit lanes.
+
+    Lane c = (i*n + j)*k + t holds digit t (the place p^t of the packed
+    index) of entry (i, j), so it is the coordinate of the F_p-basis matrix
+    E_ij * e_t, where e_t is the element with packed index p^t.  Over
+    characteristic 2 a lane is one bit and adding is XOR; otherwise a lane
+    is wide enough for the sum of two digits, and add and sub reduce every
+    lane mod p at once (SWAR).
+    """
+
+    def __init__(self, spec: FieldSpec, n: int):
+        p, k = spec.p, spec.k
+        self.spec = spec
+        self.n = n
+        self.width = 1 if p == 2 else p.bit_length() + 1
+        bits = k * self.width  # per entry
+        row_bits = n * bits
+        spread = [
+            sum((x // p**t) % p << (t * self.width) for t in range(k))
+            for x in range(spec.q)
+        ]
+        self._spread = spread
+        # _scaled[t][x]: the digits of entry x * e_t
+        self._scaled = [[spread[spec.mul(x, p**t)] for x in range(spec.q)] for t in range(k)]
+        self._entry_shifts = [e * bits for e in range(n * n)]
+        self._col_shifts = self._entry_shifts[:n]
+        self._row_shifts = self._entry_shifts[::n]
+        self._col0 = sum(((1 << bits) - 1) << r for r in self._row_shifts)  # column 0
+        self._row0 = (1 << row_bits) - 1  # row 0
+        if p == 2:
+            self.add = self.sub = operator.xor
+            return
+        ones = sum(1 << (c * self.width) for c in range(n * n * k))
+        self._p_lanes = p * ones
+        self._high = ones << (self.width - 1)
+        self._bias = self._high - self._p_lanes  # 2^(width-1) - p in every lane
+
+    def _reduce(self, s: int) -> int:
+        """Lanes in [0, 2p) to their residues mod p."""
+        return s - (((s + self._bias) & self._high) >> (self.width - 1)) * self.spec.p
+
+    def add(self, x: int, y: int) -> int:
+        return self._reduce(x + y)
+
+    def sub(self, x: int, y: int) -> int:
+        return self._reduce(x + self._p_lanes - y)
+
+    def _pack(self, scaled: list[int], m: Mat) -> int:
+        """m e_t packed, for the digit table scaled = _scaled[t]."""
+        entries = map(scaled.__getitem__, itertools.chain(*m.rows))
+        return sum(map(operator.lshift, entries, self._entry_shifts))
+
+    def scalar(self, x: int) -> int:
+        """The packed x I, for a packed field index x."""
+        return sum(self._spread[x] << shift for shift in self._entry_shifts[:: self.n + 1])
+
+    def matrix(self, digits) -> Mat:
+        """The matrix whose lane c holds digits[c]."""
+        spec, n = self.spec, self.n
+        k = spec.k
+        entries = [
+            sum(digits[e * k + t] * spec.p**t for t in range(k)) for e in range(n * n)
+        ]
+        return Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
+
+    def images(self, a: Mat, b: Mat) -> list[int]:
+        """The packed images of the F_p-basis matrices under B -> aB - Bb.
+
+        E_ij e_t goes to column i of a e_t placed in column j, minus row j
+        of e_t b placed in row i; lane order as in the class docstring.
+        """
+        sub = self.sub
+        col0, row0 = self._col0, self._row0
+        by_digit = []
+        for scaled in self._scaled:
+            packed_a = self._pack(scaled, a)
+            packed_b = packed_a if b is a else self._pack(scaled, b)
+            cols = [(packed_a >> shift) & col0 for shift in self._col_shifts]
+            rows = [(packed_b >> shift) & row0 for shift in self._row_shifts]
+            by_digit.append([
+                sub(col << col_shift, row << row_shift)
+                for col, row_shift in zip(cols, self._row_shifts)
+                for row, col_shift in zip(rows, self._col_shifts)
+            ])
+        return [image for entry in zip(*by_digit) for image in entry]
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(spec: FieldSpec, n: int) -> _Packing:
+    return _Packing(spec, n)
+
+
+def _gray_steps(p: int, m: int) -> list[int]:
+    """The p^m - 1 steps of the reflected p-ary Gray code on m digits.
+
+    Step s moves from the word at rank s - 1 to the word at rank s (see
+    _gray_digits).  It changes digit r = v_p(s) by +1 when s // p^(r+1) is
+    even and by -1 otherwise, and is encoded as 2r, or 2r + 1 for -1
+    (Knuth, TAOCP 7.2.1.1).
+    """
+    steps = []
+    for s in range(1, p**m):
+        r = 0
+        while s % p == 0:
+            s //= p
+            r += 1
+        steps.append(2 * r + (s // p) % 2)
+    return steps
+
+
+def _gray_digits(s: int, p: int, m: int) -> list[int]:
+    """The word at rank s of the reflected p-ary Gray code, digit 0 first.
+
+    Digit j is the base-p digit s_j of s, reflected to p - 1 - s_j when
+    s // p^(j+1) is odd.
+    """
+    out = []
+    for _ in range(m):
+        s, digit = divmod(s, p)
+        out.append(p - 1 - digit if s % 2 else digit)
+    return out
+
+
+def _gray_walk(packing: _Packing, images: list[int], steps: list[int]):
+    """sum_c d_c images[c] for every digit word d, in Gray order from d = 0.
+
+    Each step adds one image or its negative to the running sum, so the
+    iterator yields one packed matrix per word.
+    """
+    deltas = []
+    for v in images:
+        deltas += (v, packing.sub(0, v))
+    return itertools.accumulate(map(deltas.__getitem__, steps), packing.add, initial=0)
 
 
 def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
     """rank(ad_A) and whether cI lies in the image of ad_A."""
     spec = a.spec
     n = a.n_rows
-    if spec.p == 2 and spec.k == 1:
-        nn = n * n
-        spread = [
-            sum(a.rows[i][k] << (k * n) for k in range(n)) for i in range(n)
-        ]
-        colmask = [
-            sum(a.rows[l][j] << l for l in range(n)) for j in range(n)
-        ]
-        aug = 1 << nn
-        c_bit = c.idx & 1
-        rows = []
-        for i in range(n):
-            base = i * n
-            for j in range(n):
-                row = (spread[i] << j) ^ (colmask[j] << base)
-                if i == j and c_bit:
-                    row |= aug
-                rows.append(row)
-        return _gf2_rank_consistent(rows, nn)
-    # every other field: append the cI column to ad_A and reduce exactly
-    ci = vec(Mat.scalar(spec, n, c))
-    reduced = rref(Mat(spec, [row + (x,) for row, x in zip(ad_matrix(a).rows, ci)]))
-    if reduced.pivots and reduced.pivots[-1] == n * n:
-        return reduced.rank - 1, False
-    return reduced.rank, True
+    if spec.p == 2:
+        # eliminate the packed images of ad_A over F_2, keyed by leading
+        # bit: their F_2-span is im ad_A, of F_2-dimension k * rank
+        packing = _packing(spec, n)
+        pivots = {}
+        for v in packing.images(a, a):
+            while v:
+                top = v.bit_length()
+                if top not in pivots:
+                    pivots[top] = v
+                    break
+                v ^= pivots[top]
+        target = packing.scalar(c.idx)
+        while target and target.bit_length() in pivots:
+            target ^= pivots[target.bit_length()]
+        return len(pivots) // spec.k, not target
+    return rank_and_consistency(ad_matrix(a), vec(Mat.scalar(spec, n, c)))
 
 
 # -- counting ------------------------------------------------------------------
@@ -775,14 +884,15 @@ def _count_lie_brute(n, spec, c, limits) -> int:
     pair_cost = q ** (2 * nn)
     scan_cost = q**nn
     if pair_cost <= min(PAIR_SCAN_MAX, limits.max_brute):
-        ci = Mat.scalar(spec, n, c)
-        mats = list(_all_matrices(spec, n))
-        count = 0
-        for a in mats:
-            for b in mats:
-                if a @ b - b @ a == ci:
-                    count += 1
-        return count
+        # every pair: B walks M_n(F_q) in Gray order for each A, and each
+        # AB - BA is compared with cI
+        packing = _packing(spec, n)
+        target = packing.scalar(c.idx)
+        steps = _gray_steps(spec.p, nn * spec.k)
+        return sum(
+            operator.countOf(_gray_walk(packing, packing.images(a, a), steps), target)
+            for a in _all_matrices(spec, n)
+        )
     if scan_cost > limits.max_brute:
         raise LimitExceeded(
             "brute scan of %d matrices exceeds limit %d" % (scan_cost, limits.max_brute)
@@ -833,13 +943,18 @@ def count_group_pairs(
     pairs = gl_order(n, q) ** 2
     if q**nn > limits.max_brute or pairs > min(PAIR_SCAN_MAX * 4, limits.max_brute):
         raise LimitExceeded("group brute scan exceeds the configured limit")
-    invertibles = [m for m in _all_matrices(spec, n) if m.is_invertible()]
-    zi = Mat.scalar(spec, n, zeta)
+    # y^-1 x y == zeta x  <=>  x y - y (zeta x) == 0: for each x, y walks
+    # M_n(F_q) in Gray order, and y is tested for invertibility on the hits
+    packing = _packing(spec, n)
+    m = nn * spec.k
+    steps = _gray_steps(spec.p, m)
     count = 0
-    for x in invertibles:
-        target = x @ zi  # y^-1 x y == zeta x  <=>  x y == y (zeta x)
-        for y in invertibles:
-            if x @ y == y @ target:
+    for x in _all_matrices(spec, n):
+        if not x.is_invertible():
+            continue
+        walk = _gray_walk(packing, packing.images(x, x * zeta), steps)
+        for s in itertools.compress(itertools.count(), map((0).__eq__, walk)):
+            if packing.matrix(_gray_digits(s, spec.p, m)).is_invertible():
                 count += 1
     return count
 

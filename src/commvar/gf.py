@@ -161,10 +161,6 @@ class FieldSpec:
         return self.pow(a, self.p)
 
     @property
-    def zero_idx(self) -> int:
-        return 0
-
-    @property
     def one_idx(self) -> int:
         # coeffs (1, 0, ..., 0)
         return self.p ** (self.k - 1)
@@ -194,9 +190,6 @@ class FieldSpec:
         if isinstance(x, str):
             return self.parse(x)
         return Fe(self, self.coeffs_to_idx(x))
-
-    def from_idx(self, a: int) -> "Fe":
-        return Fe(self, a)
 
     @property
     def zero(self) -> "Fe":

@@ -299,11 +299,13 @@ def group_commutator(x: Mat, y: Mat) -> Mat:
 
 # -- row reduction and linear solving ----------------------------------------
 
-def _rref_rows(spec: FieldSpec, rows):
-    """In-place RREF of a list of row lists; returns (rows, rank, pivots).
+def _echelon_rows(spec: FieldSpec, rows):
+    """In-place row echelon form of a list of row lists; returns (rows, rank, pivots).
 
-    Pivoting is deterministic: columns scanned left to right, first row
-    with a nonzero entry wins.
+    Forward elimination only: each pivot is scaled to 1 and cleared below,
+    and the entries above it are left as they are.  Pivoting is
+    deterministic: columns scanned left to right, first row with a nonzero
+    entry wins.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -318,17 +320,34 @@ def _rref_rows(spec: FieldSpec, rows):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        iv = inv(rows[r][c])
         if rows[r][c] != spec.one_idx:
+            iv = inv(rows[r][c])
             rows[r] = [mul(iv, a) for a in rows[r]]
-        for i in range(n_rows):
+        prow = rows[r]
+        for i in range(r + 1, n_rows):
             f = rows[i][c]
-            if f and i != r:
-                prow = rows[r]
+            if f:
                 rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return rows, r, tuple(pivots)
+
+
+def _rref_rows(spec: FieldSpec, rows):
+    """In-place RREF of a list of row lists; returns (rows, rank, pivots).
+
+    The row echelon form with every pivot column then cleared above its
+    pivot, so the pivots are those of _echelon_rows.
+    """
+    rows, _, pivots = _echelon_rows(spec, rows)
+    sub, mul = spec.sub, spec.mul
+    for r, c in enumerate(pivots):
+        prow = rows[r]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+    return rows, len(pivots), pivots
 
 
 @dataclass(frozen=True)
@@ -344,7 +363,22 @@ def rref(m: Mat) -> RrefResult:
 
 
 def rank(m: Mat) -> int:
-    return rref(m).rank
+    return _echelon_rows(m.spec, [list(r) for r in m.rows])[1]
+
+
+def rank_and_consistency(m: Mat, b) -> tuple[int, bool]:
+    """rank(m) and whether m x = b has a solution (b a packed index vector).
+
+    One forward elimination of [m | b]: the system is inconsistent exactly
+    when the appended column carries a pivot.
+    """
+    if len(b) != m.n_rows:
+        raise ValueError("shape mismatch")
+    aug = [list(row) + [x] for row, x in zip(m.rows, b)]
+    _, r, pivots = _echelon_rows(m.spec, aug)
+    if pivots and pivots[-1] == m.n_cols:
+        return r - 1, False
+    return r, True
 
 
 def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
@@ -460,7 +494,7 @@ def commutator_solutions(a: Mat, c: Mat):
 
 def centralizer_dimension(a: Mat) -> int:
     """dim of {Z : AZ = ZA} as a vector space."""
-    return a.n_rows**2 - rref(ad_matrix(a)).rank
+    return a.n_rows**2 - rank(ad_matrix(a))
 
 
 # -- minimal polynomial -------------------------------------------------------

@@ -229,9 +229,6 @@ class Poly:
             raise ValueError("mismatched fields")
         return Fe(self.spec, peval(self.spec, self.coeffs, x.idx))
 
-    def derivative(self) -> "Poly":
-        return Poly(self.spec, pderiv(self.spec, self.coeffs))
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)

@@ -182,6 +182,69 @@ def test_count_w():
     assert cs.count_w(2, F5, z5, "class") == cs.count_w(2, F5, z5, "brute")
 
 
+def test_gray_walk_visits_every_word_once():
+    for p, sizes in ((2, range(1, 10)), (3, range(1, 5)), (5, range(1, 4))):
+        for m in sizes:
+            word = [0] * m
+            seen = {tuple(word)}
+            assert cs._gray_digits(0, p, m) == word
+            for s, step in enumerate(cs._gray_steps(p, m), 1):
+                digit, down = divmod(step, 2)
+                word[digit] += -1 if down else 1
+                assert 0 <= word[digit] < p, (p, m, s)
+                assert cs._gray_digits(s, p, m) == word, (p, m, s)
+                seen.add(tuple(word))
+            assert len(seen) == p**m == s + 1, (p, m)
+
+
+def test_brute_pair_walk_equals_polynomial():
+    small = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))  # q <= 9
+    grid = [(1, gf.field(p, k)) for p, k in small]
+    grid += [(2, spec) for spec in (F2, F3, F4, F5)] + [(3, F2)]
+    for n, spec in grid:
+        # every size here takes the pair scan, not the per-matrix kernel
+        assert spec.q ** (2 * n * n) <= cs.PAIR_SCAN_MAX
+        for c in (spec.zero, spec.one):
+            poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
+            assert cs.count_lie_pairs(n, spec, c, "brute") == poly(spec.q), (n, spec, c)
+
+
+def test_group_brute_walk_equals_polynomial():
+    # GF(4) puts two F_2-digits in every entry, which the hits decode
+    for n, d, spec in ((1, 1, F3), (2, 2, F3), (2, 2, F5), (2, 1, F4)):
+        q = spec.q
+        zeta = gf.root_of_unity(spec, d)
+        poly = cs.point_count_polynomial("group", n, d=d)
+        assert cs.count_group_pairs(n, spec, zeta, "brute") == poly(q), (n, d, q)
+
+
+def test_char2_image_kernel_equals_rref():
+    import random
+
+    rng = random.Random(6)
+    for spec in (gf.field(2, 2), gf.field(2, 3)):
+        for n in (2, 3):
+            consistent_seen = set()
+            for _ in range(500):
+                # half the entries zero, so degenerate and nilpotent parts are common
+                a = mg.Mat(spec, [
+                    [rng.randrange(spec.q) if rng.random() < 0.5 else 0 for _ in range(n)]
+                    for _ in range(n)
+                ])
+                for c in (spec.zero, spec.one, spec.el(rng.randrange(1, spec.q))):
+                    ci = mg.vec(mg.Mat.scalar(spec, n, c))
+                    ad = mg.ad_matrix(a)
+                    reduced = mg.rref(mg.Mat(spec, [row + (x,) for row, x in zip(ad.rows, ci)]))
+                    if reduced.pivots and reduced.pivots[-1] == n * n:
+                        expected = (reduced.rank - 1, False)
+                    else:
+                        expected = (reduced.rank, True)
+                    assert cs._ad_rank_consistency(a, c) == expected, (a, c)
+                    consistent_seen.add((bool(c), expected[1]))
+            assert (True, False) in consistent_seen and (False, True) in consistent_seen
+            assert ((True, True) in consistent_seen) == (n == 2)
+
+
 def test_twist_involution():
     for spec, d in [(F5, 4), (F3, 2), (F4, 3)]:
         zeta = gf.root_of_unity(spec, d)
