@@ -8,7 +8,8 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
   of B -> AB - BA per step, and every pair is compared with cI.  Otherwise
   a scan of all A solving ad_A(B) = cI exactly per matrix: by elimination
   of the packed ad_A images over characteristic 2, by forward elimination
-  of ad_matrix(A) over every other field;
+  of ad_matrix(A) over every other field.  W takes one Smith normal form
+  per invertible x: x ~ zeta x iff the twist fixes each invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For Lie and commuting pairs it is a sum over Green's class types of
   M_n(F_q) (multisets of (degree, partition)), each weighted by its number
@@ -156,6 +157,11 @@ def twist_poly(f: Poly, zeta: Fe) -> Poly:
     return Poly(spec, scaled)
 
 
+def _twist_fixed(x: Mat, zeta: Fe) -> bool:
+    """x ~ zeta x: the invariant factors of zeta x are the twists of x's."""
+    return all(twist_poly(f, zeta) == f for f in invariant_factors(x))
+
+
 @dataclass(frozen=True)
 class ClassRep:
     """A conjugacy class of M_n(F_q) given by its primary data.
@@ -224,7 +230,6 @@ def enumerate_classes(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    spec.ensure_tables()
     irr_cache: dict[int, list[Poly]] = {}
 
     def irr(d: int) -> list[Poly]:
@@ -867,9 +872,6 @@ def count_lie_pairs(
 
 
 def _count_lie(n: int, spec: FieldSpec, c: Fe, strategy: str, limits: CensusLimits) -> int:
-    # every strategy builds the field tables up front: without them, brute
-    # scans over extension fields run on slow polynomial arithmetic
-    spec.ensure_tables()
     if strategy == "class":
         variety = "lie" if c else "commuting"
         return _value_at(point_count_polynomial(variety, n, spec.p, limits=limits), spec.q)
@@ -933,7 +935,6 @@ def count_group_pairs(
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
-    spec.ensure_tables()
     if strategy == "class":
         return _twist_count("group", n, spec, zeta, limits)
     if strategy != "brute":
@@ -971,19 +972,15 @@ def count_w(
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
-    spec.ensure_tables()
     if strategy == "class":
         return _twist_count("W", n, spec, zeta, limits)
     if strategy != "brute":
         raise ValueError("unknown strategy %r" % strategy)
     if spec.q ** (n * n) > limits.max_brute:
         raise LimitExceeded("brute scan exceeds the configured limit")
-    zi = Mat.scalar(spec, n, zeta)
-    count = 0
-    for x in _all_matrices(spec, n):
-        if x.is_invertible() and invariant_factors(x) == invariant_factors(zi @ x):
-            count += 1
-    return count
+    return sum(
+        1 for x in _all_matrices(spec, n) if x.is_invertible() and _twist_fixed(x, zeta)
+    )
 
 
 # -- dimension estimation --------------------------------------------------------

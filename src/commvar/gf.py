@@ -6,7 +6,9 @@ F_p, with coefficient tuples compared constant term first.  Elements are
 stored as packed integer indices whose base-p digits are the coefficients
 (c0, c1, ..., c_{k-1}) with the constant term c0 in the most significant
 position, so that integer order on indices equals the canonical
-coefficient-tuple order.  All arithmetic is exact.
+coefficient-tuple order.  All arithmetic is exact.  A field with k > 1 and
+q <= 256 builds its addition, negation, multiplication and inverse tables
+when it is constructed; larger fields compute on coefficients.
 
 Text form of an element: a decimal residue for k = 1, and a bracketed
 coefficient tuple "[c0,c1,...]" (constant term first) for k > 1.
@@ -65,6 +67,7 @@ class FieldSpec:
         self._mul_t = None
         self._inv_t = None
         self._neg_t = None
+        self.ensure_tables()
 
     # -- packing -----------------------------------------------------------
 
@@ -166,15 +169,28 @@ class FieldSpec:
         return self.p ** (self.k - 1)
 
     def ensure_tables(self) -> None:
-        """Build full lookup tables; a no-op for prime fields or q > 256."""
+        """Build the lookup tables if k > 1 and q <= 256; the constructor calls it.
+
+        Sums come digit by digit mod p, products and inverses from the q - 2
+        powers of the smallest primitive element.
+        """
         if self.k == 1 or self._mul_t is not None or self.q > _TABLE_MAX_Q:
             return
-        q = self.q
-        self._add_t = [[self.add(a, b) for b in range(q)] for a in range(q)]
-        self._neg_t = [self.neg(a) for a in range(q)]
-        self._mul_t = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        one = self.one_idx
-        self._inv_t = [0] + [row.index(one) for row in self._mul_t[1:]]
+        p, q = self.p, self.q
+        add = [[0]]
+        for _ in range(self.k):  # append one base-p digit to every index
+            add = [[s * p + (u + v) % p for s in row for v in range(p)]
+                   for row in add for u in range(p)]
+        g = _smallest_primitive_idx(self)
+        power = [self.one_idx]
+        for _ in range(q - 2):
+            power.append(self._mul_slow(power[-1], g))
+        logs = sorted(range(q - 1), key=power.__getitem__)  # logs[a - 1] = log_g(a)
+        power += power  # exponents up to 2(q - 2) index without reduction
+        self._add_t = add
+        self._neg_t = [row.index(0) for row in add]
+        self._mul_t = [[0] * q] + [[0] + [power[i + j] for j in logs] for i in logs]
+        self._inv_t = [0] + [power[q - 1 - i] for i in logs]
 
     # -- element construction ------------------------------------------------
 

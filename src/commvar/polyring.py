@@ -4,7 +4,8 @@ Polynomials are dense coefficient tuples (packed element indices, constant
 term first, no trailing zeros).  Provides exact arithmetic, gcd,
 irreducibility testing (distinct-degree sieve), full factorization
 (squarefree split + distinct-degree + seeded equal-degree splitting), and
-enumeration of monic irreducibles of a given degree.
+enumeration of the monic irreducibles of a given degree by a sieve that
+strikes out products of lower-degree irreducibles.
 
 Text form: comma-separated element tokens, constant term first,
 e.g. "1,0,1" for 1 + t^2 over a prime field.
@@ -12,6 +13,7 @@ e.g. "1,0,1" for 1 + t^2 over a prime field.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .errors import LimitExceeded
@@ -455,44 +457,31 @@ def _moebius(n: int) -> int:
     return mu
 
 
-def num_irreducibles(q: int, d: int) -> int:
-    """The necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * q ** (d // e)
-    return total // d
-
-
 def irreducibles_of_degree(
     spec: FieldSpec, d: int, limit: int = DEFAULT_ENUM_LIMIT
 ):
-    """All monic irreducibles of degree d, in canonical order."""
+    """All monic irreducibles of degree d, in canonical order.
+
+    A sieve: the monics of degree d that are no product of a monic
+    irreducible of degree e <= d/2 and a monic of degree d - e.
+    """
     if d < 1:
         raise ValueError("degree must be positive")
     if spec.q**d > limit:
         raise LimitExceeded(
             "enumeration too large: %d candidates exceed limit %d" % (spec.q**d, limit)
         )
-    spec.ensure_tables()
-    out = []
-    one = spec.one_idx
-    if d == 1:
-        return [Poly(spec, (a, one)) for a in range(spec.q)]
-    for lowidx in range(spec.q**d):
-        low = []
-        a = lowidx
-        for _ in range(d):
-            a, r = divmod(a, spec.q)
-            low.append(r)
-        # lowidx digits give (c_{d-1}, ..., c0); reverse for constant-first
-        coeffs = tuple(reversed(low)) + (one,)
-        if d <= 3:
-            # degree 2 or 3: irreducible iff no roots
-            if all(peval(spec, coeffs, x) != 0 for x in range(spec.q)):
-                out.append(Poly(spec, coeffs))
-        else:
-            cand = Poly(spec, coeffs)
-            if is_irreducible(cand):
-                out.append(cand)
-    return out
+    q, one = spec.q, spec.one_idx
+
+    def monics(e):  # canonical order: (c0, ..., c_{e-1}) lexicographic
+        return (low + (one,) for low in itertools.product(range(q), repeat=e))
+
+    reducible = bytearray(q**d)  # flags by position in canonical order
+    for e in range(1, d // 2 + 1):
+        for f in irreducibles_of_degree(spec, e, limit):
+            for g in monics(d - e):
+                rank = 0
+                for c in pmul(spec, f.coeffs, g)[:-1]:
+                    rank = rank * q + c
+                reducible[rank] = 1
+    return [Poly(spec, f) for f, r in zip(monics(d), reducible) if not r]

@@ -18,7 +18,6 @@ from .gf import Fe, FieldSpec, root_of_unity
 from .matgf import (
     Mat,
     group_commutator,
-    invariant_factors,
     primary_data,
     similarity_transform,
 )
@@ -104,11 +103,9 @@ def verify_central_commutator(inst: ZetaInstance, a: Mat) -> CentralCommutatorRe
 
 def is_conjugate_to_zeta_x(x: Mat, zeta) -> bool:
     """True iff x and zeta x share their invariant factors."""
-    spec = x.spec
-    zeta = spec.el(zeta)
     if not x.is_invertible():
         raise ValueError("x must be invertible")
-    return invariant_factors(x) == invariant_factors(x * zeta)
+    return census._twist_fixed(x, x.spec.el(zeta))
 
 
 @dataclass(frozen=True)

@@ -120,7 +120,6 @@ def test_criterion_04_solution_family():
 # -- criterion 5 ----------------------------------------------------------------
 
 def _exhaustive_divisibility(spec, n, p):
-    spec.ensure_tables()
     ident = mg.Mat.identity(spec, n)
     mats = list(all_mats(spec, n))
     found = 0

@@ -385,8 +385,8 @@ def test_commuting_n2_matches_feit_fine():
 
 
 def test_counts_build_field_tables_for_every_strategy():
-    # brute scans over an extension field run on the lookup tables, also
-    # when no class count has built them on the same spec before
+    # brute scans over an extension field run on the lookup tables, which
+    # the field builds when it is constructed, also outside gf.field
     counts = [
         lambda s: cs.count_lie_pairs(1, s, 1, "brute"),
         lambda s: cs.count_commuting_pairs(1, s, "brute"),

@@ -172,6 +172,23 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout == "False\n"
 
 
+def test_cli_import_builds_no_field():
+    # field tables are built when a field is constructed; importing the CLI
+    # constructs none, so start-up pays for no table
+    code = (
+        "import commvar.cli\n"
+        "from commvar import gf\n"
+        "print(gf._field.cache_info().currsize,"
+        " gf._smallest_primitive_idx.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0 0\n"
+
+
 def test_count_commuting(capsys):
     code, doc = run_json(
         capsys, ["count", "commuting", "--n", "2", "--qs", "2,4", "--expect"]

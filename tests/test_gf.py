@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from commvar import gf
@@ -61,13 +63,56 @@ def test_seed_moduli_pinned():
 def test_inverse_exhaustive_small_fields():
     # GF(5^2) inverts through its tables, GF(3^6) = 729 (too big for tables)
     # by a power; the others as they come
-    gf.field(5, 2).ensure_tables()
     for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 6)]:
         spec = gf.field(p, k)
         for a in spec.elements():
             if a:
                 assert a * (spec.one / a) == spec.one
     assert gf.field(5, 2)._inv_t is not None and gf.field(3, 6)._inv_t is None
+
+
+TABLE_FIELDS = [
+    (p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p**k <= 256
+]
+
+
+def _slow_pow(spec, a, e):
+    out = spec.one_idx
+    while e:
+        if e & 1:
+            out = spec._mul_slow(out, a)
+        a = spec._mul_slow(a, a)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_tables_agree_with_coefficient_arithmetic(p, k):
+    spec = gf.field(p, k)
+    q = spec.q
+    if q <= 64:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    coeffs = spec.idx_to_coeffs
+    for a, b in pairs:
+        assert spec._mul_t[a][b] == spec._mul_slow(a, b), (a, b)
+        summed = ((x + y) % p for x, y in zip(coeffs(a), coeffs(b)))
+        assert spec._add_t[a][b] == spec.coeffs_to_idx(summed), (a, b)
+    for a in range(q):
+        assert spec._neg_t[a] == spec.coeffs_to_idx(-x % p for x in coeffs(a))
+    for a in range(1, q):
+        assert spec._inv_t[a] == _slow_pow(spec, a, q - 2), a
+
+
+def test_construction_builds_tables_up_to_256():
+    for p, k in TABLE_FIELDS:
+        fresh = gf.FieldSpec(p, k, gf.field(p, k).modulus)
+        assert None not in (fresh._add_t, fresh._neg_t, fresh._mul_t, fresh._inv_t)
+    for p, k in [(2, 9), (3, 6)]:
+        spec = gf.field(p, k)
+        assert (spec._add_t, spec._neg_t, spec._mul_t, spec._inv_t) == (None,) * 4
 
 
 def test_frobenius_fixes_prime_subfield():

@@ -117,6 +117,10 @@ def test_is_conjugate_examples():
     inf = mg.invariant_factors(x)
     assert len(inf.factors) == 1 and inf.factors[0].pretty() == "t^2+2"
     assert not tg.is_conjugate_to_zeta_x(mg.Mat.identity(F3, 2), F3.el(2))
+    # diag(1, 1, 2) and 2 diag(1, 1, 2) share the minimal polynomial t^2+2,
+    # but only the first has the invariant factor t+2
+    y = mg.Mat.from_rows(F3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert not tg.is_conjugate_to_zeta_x(y, F3.el(2))
     with pytest.raises(ValueError):
         tg.is_conjugate_to_zeta_x(mg.Mat.zeros(F3, 2, 2), F3.el(2))
 
