@@ -6,10 +6,10 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 * brute: literal enumeration.  At tiny sizes a Gray-code pair walk: B runs
   through M_n(F_q) in Gray order for each A, adding one packed basis image
   of B -> AB - BA per step, and every pair is compared with cI.  Otherwise
-  a scan of all A solving ad_A(B) = cI exactly per matrix: by elimination
-  of the packed ad_A images over characteristic 2, by forward elimination
-  of ad_matrix(A) over every other field.  W takes one Smith normal form
-  per invertible x: x ~ zeta x iff the twist fixes each invariant factor;
+  a scan of all A solving ad_A(B) = cI exactly per matrix, by elimination
+  of the same packed images of ad_A over every field.  W takes one Smith
+  normal form per invertible x: x ~ zeta x iff the twist fixes each
+  invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For Lie and commuting pairs it is a sum over Green's class types of
   M_n(F_q) (multisets of (degree, partition)), each weighted by its number
@@ -39,16 +39,7 @@ from fractions import Fraction
 from . import polyring
 from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec, _prime_divisors
-from .matgf import (
-    Mat,
-    ad_matrix,
-    block_diag,
-    companion,
-    invariant_factors,
-    primary_data,
-    rank_and_consistency,
-    vec,
-)
+from .matgf import Mat, block_diag, companion, invariant_factors, primary_data
 from .polyring import Poly
 
 getcontext().prec = 50
@@ -132,6 +123,10 @@ def centralizer_order_from_primary(data, q: int) -> int:
     return total
 
 
+# for class types, whose few values recur across the classes of one field
+_type_centralizer_order = functools.lru_cache(maxsize=None)(centralizer_order_from_primary)
+
+
 def dim_centralizer_from_primary(data) -> int:
     """dim of the full matrix centralizer: sum deg(f) * sum conj(lam)_j^2."""
     total = 0
@@ -188,7 +183,8 @@ class ClassRep:
 
     @functools.cached_property
     def centralizer_order(self) -> int:
-        return centralizer_order_from_primary(self.data, self.spec.q)
+        ctype = tuple((f.degree, lam) for f, lam in self.data)
+        return _type_centralizer_order(ctype, self.spec.q)
 
     @functools.cached_property
     def class_size(self) -> int:
@@ -700,7 +696,9 @@ class _Packing:
     E_ij * e_t, where e_t is the element with packed index p^t.  Over
     characteristic 2 a lane is one bit and adding is XOR; otherwise a lane
     is wide enough for the sum of two digits, and add and sub reduce every
-    lane mod p at once (SWAR).
+    lane mod p at once (SWAR).  A nonzero vector's bit length lies in its
+    leading lane, and lanes maps it to every bit length that lane allows,
+    so elimination can key pivots by bit length.
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -722,6 +720,12 @@ class _Packing:
         self._row_shifts = self._entry_shifts[::n]
         self._col0 = sum(((1 << bits) - 1) << r for r in self._row_shifts)  # column 0
         self._row0 = (1 << row_bits) - 1  # row 0
+        # lanes[t]: the bit lengths a vector can have when its leading lane holds bit t - 1
+        span = (p - 1).bit_length()
+        self.lanes = [
+            range(lo, lo + span)
+            for lo in (t - (t - 1) % self.width for t in range(n * row_bits + 1))
+        ]
         if p == 2:
             self.add = self.sub = operator.xor
             return
@@ -829,26 +833,30 @@ def _gray_walk(packing: _Packing, images: list[int], steps: list[int]):
 
 
 def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
-    """rank(ad_A) and whether cI lies in the image of ad_A."""
-    spec = a.spec
-    n = a.n_rows
-    if spec.p == 2:
-        # eliminate the packed images of ad_A over F_2, keyed by leading
-        # bit: their F_2-span is im ad_A, of F_2-dimension k * rank
-        packing = _packing(spec, n)
-        pivots = {}
-        for v in packing.images(a, a):
-            while v:
-                top = v.bit_length()
-                if top not in pivots:
-                    pivots[top] = v
-                    break
-                v ^= pivots[top]
-        target = packing.scalar(c.idx)
-        while target and target.bit_length() in pivots:
-            target ^= pivots[target.bit_length()]
-        return len(pivots) // spec.k, not target
-    return rank_and_consistency(ad_matrix(a), vec(Mat.scalar(spec, n, c)))
+    """rank(ad_A) and whether cI lies in the image of ad_A.
+
+    Eliminates the packed images of ad_A, whose F_p-span is im ad_A, of
+    F_p-dimension k * rank.  A pivot is filed under every bit length its
+    leading lane allows; subtracting it moves a vector's leading digit by a
+    unit mod p, so at most p - 1 steps clear that lane.
+    """
+    packing = _packing(a.spec, a.n_rows)
+    sub, lanes = packing.sub, packing.lanes
+    pivots = [0] * len(lanes)
+    found = 0
+    for v in packing.images(a, a):
+        while v:
+            pivot = pivots[v.bit_length()]
+            if not pivot:
+                for t in lanes[v.bit_length()]:
+                    pivots[t] = v
+                found += 1
+                break
+            v = sub(v, pivot)
+    target = packing.scalar(c.idx)
+    while target and pivots[target.bit_length()]:
+        target = sub(target, pivots[target.bit_length()])
+    return found // a.spec.k, not target
 
 
 # -- counting ------------------------------------------------------------------

@@ -27,19 +27,14 @@ def _prime_power(q: int) -> tuple[int, int]:
     """q = p^k with p prime; rejects other inputs."""
     if q < 2:
         raise ValueError("field size must be >= 2")
-    for p in range(2, q + 1):
-        if p * p > q and p != q:
-            break
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, k
-    return q, 1
+    primes = gf._prime_divisors(q)
+    if len(primes) != 1:
+        raise ValueError("%d is not a prime power" % q)
+    p = primes[0]
+    k = 1
+    while p**k < q:
+        k += 1
+    return p, k
 
 
 def _field_from_q(q: int) -> gf.FieldSpec:
@@ -379,12 +374,12 @@ def _suite_canon(args, limits) -> list[dict]:
     for q in (2, 3):
         spec = gf.field(q)
         mats = list(census._all_matrices(spec, 2))
-        gl = [g for g in mats if g.is_invertible()]
+        factors = {m: matgf.invariant_factors(m) for m in mats}
+        gl = [(g, g.inverse()) for g in mats if g.is_invertible()]
         for a in mats:
-            orbit = {g @ a @ g.inverse() for g in gl}
-            fa = matgf.invariant_factors(a)
+            orbit = {g @ a @ g_inv for g, g_inv in gl}
             for b in mats:
-                if (matgf.invariant_factors(b) == fa) != (b in orbit):
+                if (factors[b] == factors[a]) != (b in orbit):
                     bad += 1
     checks.append(
         _check("invariant_factor_similarity", "pass" if bad == 0 else "fail",

@@ -366,21 +366,6 @@ def rank(m: Mat) -> int:
     return _echelon_rows(m.spec, [list(r) for r in m.rows])[1]
 
 
-def rank_and_consistency(m: Mat, b) -> tuple[int, bool]:
-    """rank(m) and whether m x = b has a solution (b a packed index vector).
-
-    One forward elimination of [m | b]: the system is inconsistent exactly
-    when the appended column carries a pivot.
-    """
-    if len(b) != m.n_rows:
-        raise ValueError("shape mismatch")
-    aug = [list(row) + [x] for row, x in zip(m.rows, b)]
-    _, r, pivots = _echelon_rows(m.spec, aug)
-    if pivots and pivots[-1] == m.n_cols:
-        return r - 1, False
-    return r, True
-
-
 def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
     """Basis of the right kernel as packed index vectors (deterministic)."""
     spec = m.spec

@@ -218,11 +218,12 @@ def test_group_brute_walk_equals_polynomial():
         assert cs.count_group_pairs(n, spec, zeta, "brute") == poly(q), (n, d, q)
 
 
-def test_char2_image_kernel_equals_rref():
+def test_image_kernel_equals_rref():
     import random
 
     rng = random.Random(6)
-    for spec in (gf.field(2, 2), gf.field(2, 3)):
+    odd = [F3, F5, gf.field(7), gf.field(3, 2), gf.field(5, 2), gf.field(3, 3)]
+    for spec in [F4, gf.field(2, 3)] + odd:
         for n in (2, 3):
             consistent_seen = set()
             for _ in range(500):
@@ -242,7 +243,19 @@ def test_char2_image_kernel_equals_rref():
                     assert cs._ad_rank_consistency(a, c) == expected, (a, c)
                     consistent_seen.add((bool(c), expected[1]))
             assert (True, False) in consistent_seen and (False, True) in consistent_seen
-            assert ((True, True) in consistent_seen) == (n == 2)
+            assert ((True, True) in consistent_seen) == (n % spec.p == 0)
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 7)])
+def test_odd_p_per_matrix_scan_equals_polynomial(n, q):
+    # too many pairs for the pair walk, so every matrix takes the packed kernel
+    assert q ** (2 * n * n) > cs.PAIR_SCAN_MAX
+    spec = gf.field(q)
+    expected = {(3, 3): (809_433, 50_544), (2, 7): (134_113, 0)}[n, q]
+    for c, count in zip((0, 1), expected):
+        poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
+        assert poly(q) == count
+        assert cs.count_lie_pairs(n, spec, c, "brute") == count
 
 
 def test_twist_involution():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from commvar import cli
 
 
@@ -232,6 +234,19 @@ def test_config_errors_exit_2(capsys):
         ["--max-brute", "10", "count", "lie", "--n", "2", "--qs", "2,4", "--strategy", "brute"],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "q,expected", [(2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (49, (7, 2)), (97, (97, 1)), (128, (2, 7))]
+)
+def test_prime_power(q, expected):
+    assert cli._prime_power(q) == expected
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+def test_prime_power_rejects(q):
+    with pytest.raises(ValueError):
+        cli._prime_power(q)
 
 
 def test_env_var_overrides_brute_limit(capsys, monkeypatch):
