@@ -3,11 +3,13 @@
 Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
 the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
-* brute: literal enumeration.  At tiny sizes a Gray-code pair walk: B runs
-  through M_n(F_q) in Gray order for each A, adding one packed basis image
-  of B -> AB - BA per step, and every pair is compared with cI.  Otherwise
-  a scan of all A solving ad_A(B) = cI exactly per matrix, by elimination
-  of the same packed images of ad_A over every field.  W takes one Smith
+* brute: literal enumeration.  A runs through M_n(F_q) in Gray order, and
+  since A -> ad_A is linear, each step adds the packed images of ad of one
+  signed basis matrix to those of ad_A.  At tiny sizes B walks M_n(F_q) in
+  Gray order for each A, adding one of those images per step, and every
+  pair is compared with cI.  Otherwise each A solves ad_A(B) = cI exactly,
+  by elimination of its images over every field.
+  Group pairs walk y the same way for each invertible x.  W takes one Smith
   normal form per invertible x: x ~ zeta x iff the twist fixes each
   invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
@@ -789,22 +791,20 @@ def _packing(spec: FieldSpec, n: int) -> _Packing:
     return _Packing(spec, n)
 
 
-def _gray_steps(p: int, m: int) -> list[int]:
-    """The p^m - 1 steps of the reflected p-ary Gray code on m digits.
+def _gray_steps(p: int, m: int):
+    """The p^m - 1 steps of the reflected p-ary Gray code on m digits, lazily.
 
     Step s moves from the word at rank s - 1 to the word at rank s (see
     _gray_digits).  It changes digit r = v_p(s) by +1 when s // p^(r+1) is
     even and by -1 otherwise, and is encoded as 2r, or 2r + 1 for -1
     (Knuth, TAOCP 7.2.1.1).
     """
-    steps = []
     for s in range(1, p**m):
         r = 0
         while s % p == 0:
             s //= p
             r += 1
-        steps.append(2 * r + (s // p) % 2)
-    return steps
+        yield 2 * r + (s // p) % 2
 
 
 def _gray_digits(s: int, p: int, m: int) -> list[int]:
@@ -832,19 +832,41 @@ def _gray_walk(packing: _Packing, images: list[int], steps: list[int]):
     return itertools.accumulate(map(deltas.__getitem__, steps), packing.add, initial=0)
 
 
-def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
+def _ad_walk(packing: _Packing):
+    """packing.images(A, A) for every A in M_n(F_q), A in Gray order.
+
+    A -> ad_A is F_p-linear, so a step that moves coordinate r of A by +-1
+    adds the images of +-ad of the basis matrix of lane r to the current
+    images.  Steps come lazily and every yielded list is new, so memory
+    does not grow with the number of matrices.
+    """
+    m = packing.n**2 * packing.spec.k
+    add, sub = packing.add, packing.sub
+    deltas = []
+    for r in range(m):
+        basis = packing.matrix([int(c == r) for c in range(m)])
+        up = packing.images(basis, basis)
+        deltas += (up, [sub(0, v) for v in up])
+    images = [0] * m
+    yield images
+    for step in _gray_steps(packing.spec.p, m):
+        images = list(map(add, images, deltas[step]))
+        yield images
+
+
+def _ad_rank_consistency(packing: _Packing, images: list[int], target: int) -> tuple[int, bool]:
     """rank(ad_A) and whether cI lies in the image of ad_A.
 
-    Eliminates the packed images of ad_A, whose F_p-span is im ad_A, of
-    F_p-dimension k * rank.  A pivot is filed under every bit length its
-    leading lane allows; subtracting it moves a vector's leading digit by a
-    unit mod p, so at most p - 1 steps clear that lane.
+    Takes images = packing.images(A, A), whose F_p-span is im ad_A, of
+    F_p-dimension k * rank, and target = packing.scalar(c.idx), and
+    eliminates.  A pivot is filed under every bit length its leading lane
+    allows; subtracting it moves a vector's leading digit by a unit mod p,
+    so at most p - 1 steps clear that lane.
     """
-    packing = _packing(a.spec, a.n_rows)
     sub, lanes = packing.sub, packing.lanes
     pivots = [0] * len(lanes)
     found = 0
-    for v in packing.images(a, a):
+    for v in images:
         while v:
             pivot = pivots[v.bit_length()]
             if not pivot:
@@ -853,10 +875,9 @@ def _ad_rank_consistency(a: Mat, c: Fe) -> tuple[int, bool]:
                 found += 1
                 break
             v = sub(v, pivot)
-    target = packing.scalar(c.idx)
     while target and pivots[target.bit_length()]:
         target = sub(target, pivots[target.bit_length()])
-    return found // a.spec.k, not target
+    return found // packing.spec.k, not target
 
 
 # -- counting ------------------------------------------------------------------
@@ -891,25 +912,24 @@ def _count_lie(n: int, spec: FieldSpec, c: Fe, strategy: str, limits: CensusLimi
 def _count_lie_brute(n, spec, c, limits) -> int:
     q = spec.q
     nn = n * n
-    pair_cost = q ** (2 * nn)
-    scan_cost = q**nn
-    if pair_cost <= min(PAIR_SCAN_MAX, limits.max_brute):
+    if q**nn > limits.max_brute:
+        raise LimitExceeded(
+            "brute scan of %d matrices exceeds limit %d" % (q**nn, limits.max_brute)
+        )
+    # A walks M_n(F_q) in Gray order, its ad images updated step by step
+    packing = _packing(spec, n)
+    target = packing.scalar(c.idx)
+    walk = _ad_walk(packing)
+    if q ** (2 * nn) <= min(PAIR_SCAN_MAX, limits.max_brute):
         # every pair: B walks M_n(F_q) in Gray order for each A, and each
         # AB - BA is compared with cI
-        packing = _packing(spec, n)
-        target = packing.scalar(c.idx)
-        steps = _gray_steps(spec.p, nn * spec.k)
+        steps = list(_gray_steps(spec.p, nn * spec.k))
         return sum(
-            operator.countOf(_gray_walk(packing, packing.images(a, a), steps), target)
-            for a in _all_matrices(spec, n)
-        )
-    if scan_cost > limits.max_brute:
-        raise LimitExceeded(
-            "brute scan of %d matrices exceeds limit %d" % (scan_cost, limits.max_brute)
+            operator.countOf(_gray_walk(packing, images, steps), target) for images in walk
         )
     count = 0
-    for a in _all_matrices(spec, n):
-        rank, consistent = _ad_rank_consistency(a, c)
+    for images in walk:
+        rank, consistent = _ad_rank_consistency(packing, images, target)
         if consistent:
             count += q ** (nn - rank)
     return count
@@ -956,7 +976,7 @@ def count_group_pairs(
     # M_n(F_q) in Gray order, and y is tested for invertibility on the hits
     packing = _packing(spec, n)
     m = nn * spec.k
-    steps = _gray_steps(spec.p, m)
+    steps = list(_gray_steps(spec.p, m))
     count = 0
     for x in _all_matrices(spec, n):
         if not x.is_invertible():

@@ -225,6 +225,7 @@ def test_image_kernel_equals_rref():
     odd = [F3, F5, gf.field(7), gf.field(3, 2), gf.field(5, 2), gf.field(3, 3)]
     for spec in [F4, gf.field(2, 3)] + odd:
         for n in (2, 3):
+            packing = cs._packing(spec, n)
             consistent_seen = set()
             for _ in range(500):
                 # half the entries zero, so degenerate and nilpotent parts are common
@@ -240,18 +241,44 @@ def test_image_kernel_equals_rref():
                         expected = (reduced.rank - 1, False)
                     else:
                         expected = (reduced.rank, True)
-                    assert cs._ad_rank_consistency(a, c) == expected, (a, c)
+                    kernel = cs._ad_rank_consistency(
+                        packing, packing.images(a, a), packing.scalar(c.idx)
+                    )
+                    assert kernel == expected, (a, c)
                     consistent_seen.add((bool(c), expected[1]))
             assert (True, False) in consistent_seen and (False, True) in consistent_seen
             assert ((True, True) in consistent_seen) == (n % spec.p == 0)
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (2, 7)])
+def test_ad_walk_yields_images_at_gray_rank():
+    for n, spec in [(2, F2), (3, F2), (2, F3), (2, F4), (2, gf.field(2, 3)), (2, gf.field(3, 2))]:
+        packing = cs._packing(spec, n)
+        p, m = spec.p, n * n * spec.k
+        seen = set()
+        # every yielded list is its own, so they can be kept and compared later
+        for s, images in enumerate(list(cs._ad_walk(packing))):
+            a = packing.matrix(cs._gray_digits(s, p, m))
+            assert images == packing.images(a, a), (n, spec.q, s)
+            seen.add(a)
+        assert len(seen) == s + 1 == spec.q ** (n * n), (n, spec.q)
+    # lazy: 2^36 matrices, of which only the first is built
+    assert next(cs._ad_walk(cs._packing(F2, 6))) == [0] * 36
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9)])
 def test_odd_p_per_matrix_scan_equals_polynomial(n, q):
-    # too many pairs for the pair walk, so every matrix takes the packed kernel
+    # too many pairs for the pair walk, so every matrix takes the packed
+    # kernel; GF(8) and GF(9) put several F_p-digits in every entry
     assert q ** (2 * n * n) > cs.PAIR_SCAN_MAX
-    spec = gf.field(q)
-    expected = {(3, 3): (809_433, 50_544), (2, 7): (134_113, 0)}[n, q]
+    spec = {8: gf.field(2, 3), 9: gf.field(3, 2)}.get(q) or gf.field(q)
+    # c = 1 at (4, 2) is 295,680, asserted by the acceptance tests
+    expected = {
+        (3, 3): (809_433, 50_544),
+        (2, 7): (134_113, 0),
+        (4, 2): (2_526_976,),
+        (2, 8): (294_400, 32_256),
+        (2, 9): (589_761, 0),
+    }[n, q]
     for c, count in zip((0, 1), expected):
         poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
         assert poly(q) == count
@@ -352,8 +379,12 @@ def test_consistency_iff_divisibility_per_class():
     # cI solvable for c != 0 exactly when every partition part is a multiple
     # of p (class-level check covers every matrix up to conjugacy)
     for spec, n in [(F2, 2), (F4, 2), (F2, 4), (F3, 3)]:
+        packing = cs._packing(spec, n)
         for cl in cs.enumerate_classes(n, spec):
-            _, consistent = cs._ad_rank_consistency(cl.representative, spec.one)
+            a = cl.representative
+            _, consistent = cs._ad_rank_consistency(
+                packing, packing.images(a, a), packing.scalar(spec.one.idx)
+            )
             divisible = all(
                 part % spec.p == 0 for _, lam in cl.data for part in lam
             )
@@ -380,10 +411,14 @@ def test_type_sum_equals_per_class_kernel_sum():
         q = spec.q
         for n in range(1, 5):
             classes = cs.enumerate_classes(n, spec)
+            packing = cs._packing(spec, n)
             for c in (spec.one, spec.zero):
                 total = 0
                 for cl in classes:
-                    rank, consistent = cs._ad_rank_consistency(cl.representative, c)
+                    a = cl.representative
+                    rank, consistent = cs._ad_rank_consistency(
+                        packing, packing.images(a, a), packing.scalar(c.idx)
+                    )
                     assert rank == n * n - cl.dim_centralizer(), cl.data
                     if consistent:
                         total += cl.class_size * q ** (n * n - rank)
