@@ -3,15 +3,15 @@
 Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
 the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
-* brute: literal enumeration.  A runs through M_n(F_q) in Gray order, and
-  since A -> ad_A is linear, each step adds the packed images of ad of one
-  signed basis matrix to those of ad_A.  At tiny sizes B walks M_n(F_q) in
-  Gray order for each A, adding one of those images per step, and every
-  pair is compared with cI.  Otherwise each A solves ad_A(B) = cI exactly,
-  by elimination of its images over every field.
-  Group pairs walk y the same way for each invertible x.  W takes one Smith
-  normal form per invertible x: x ~ zeta x iff the twist fixes each
-  invariant factor;
+* brute: literal enumeration, one path per count.  For Lie and commuting
+  pairs A runs through M_n(F_q) in Gray order, and since A -> ad_A is
+  linear, each step adds the packed images of ad of one signed basis matrix
+  to those of ad_A; each A then solves ad_A(B) = cI exactly, by elimination
+  of its images over every field.  For group pairs, each invertible x walks
+  y through M_n(F_q) in Gray order, adding the image of one basis matrix
+  under y -> xy - y(zeta x) per step, and tests y for invertibility where
+  the sum is 0.  W takes one Smith normal form per invertible x: x ~ zeta x
+  iff the twist fixes each invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For Lie and commuting pairs it is a sum over Green's class types of
   M_n(F_q) (multisets of (degree, partition)), each weighted by its number
@@ -46,7 +46,9 @@ from .polyring import Poly
 
 getcontext().prec = 50
 
-PAIR_SCAN_MAX = 1 << 20  # literal pair enumeration only below this many pairs
+# the brute group scan takes at most 4x this many pairs; verify's lie-trace
+# suite runs the brute Lie count only up to this many pairs
+PAIR_SCAN_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -820,18 +822,6 @@ def _gray_digits(s: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _gray_walk(packing: _Packing, images: list[int], steps: list[int]):
-    """sum_c d_c images[c] for every digit word d, in Gray order from d = 0.
-
-    Each step adds one image or its negative to the running sum, so the
-    iterator yields one packed matrix per word.
-    """
-    deltas = []
-    for v in images:
-        deltas += (v, packing.sub(0, v))
-    return itertools.accumulate(map(deltas.__getitem__, steps), packing.add, initial=0)
-
-
 def _ad_walk(packing: _Packing):
     """packing.images(A, A) for every A in M_n(F_q), A in Gray order.
 
@@ -901,6 +891,8 @@ def count_lie_pairs(
 
 
 def _count_lie(n: int, spec: FieldSpec, c: Fe, strategy: str, limits: CensusLimits) -> int:
+    if n < 1:
+        raise ValueError("n must be positive")
     if strategy == "class":
         variety = "lie" if c else "commuting"
         return _value_at(point_count_polynomial(variety, n, spec.p, limits=limits), spec.q)
@@ -916,19 +908,12 @@ def _count_lie_brute(n, spec, c, limits) -> int:
         raise LimitExceeded(
             "brute scan of %d matrices exceeds limit %d" % (q**nn, limits.max_brute)
         )
-    # A walks M_n(F_q) in Gray order, its ad images updated step by step
+    # A walks M_n(F_q) in Gray order, its ad images updated step by step, and
+    # each A solves ad_A(B) = cI exactly: q^(n^2 - rank) solutions or none
     packing = _packing(spec, n)
     target = packing.scalar(c.idx)
-    walk = _ad_walk(packing)
-    if q ** (2 * nn) <= min(PAIR_SCAN_MAX, limits.max_brute):
-        # every pair: B walks M_n(F_q) in Gray order for each A, and each
-        # AB - BA is compared with cI
-        steps = list(_gray_steps(spec.p, nn * spec.k))
-        return sum(
-            operator.countOf(_gray_walk(packing, images, steps), target) for images in walk
-        )
     count = 0
-    for images in walk:
+    for images in _ad_walk(packing):
         rank, consistent = _ad_rank_consistency(packing, images, target)
         if consistent:
             count += q ** (nn - rank)
@@ -963,6 +948,8 @@ def count_group_pairs(
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
+    if n < 1:
+        raise ValueError("n must be positive")
     if strategy == "class":
         return _twist_count("group", n, spec, zeta, limits)
     if strategy != "brute":
@@ -972,20 +959,27 @@ def count_group_pairs(
     pairs = gl_order(n, q) ** 2
     if q**nn > limits.max_brute or pairs > min(PAIR_SCAN_MAX * 4, limits.max_brute):
         raise LimitExceeded("group brute scan exceeds the configured limit")
-    # y^-1 x y == zeta x  <=>  x y - y (zeta x) == 0: for each x, y walks
-    # M_n(F_q) in Gray order, and y is tested for invertibility on the hits
+    invertibles = filter(Mat.is_invertible, _all_matrices(spec, n))
+    return sum(_group_solutions(x, zeta) for x in invertibles)
+
+
+def _group_solutions(x: Mat, zeta: Fe) -> int:
+    """#{y in GL_n(F_q) : y^-1 x y = zeta x}, by walking every y.
+
+    y^-1 x y = zeta x  <=>  x y - y (zeta x) = 0, which is F_p-linear in y:
+    y walks M_n(F_q) in Gray order, each step adding the image of one signed
+    basis matrix, and is tested for invertibility only where the sum is 0.
+    """
+    spec, n = x.spec, x.n_rows
+    p, m = spec.p, n * n * spec.k
     packing = _packing(spec, n)
-    m = nn * spec.k
-    steps = list(_gray_steps(spec.p, m))
-    count = 0
-    for x in _all_matrices(spec, n):
-        if not x.is_invertible():
-            continue
-        walk = _gray_walk(packing, packing.images(x, x * zeta), steps)
-        for s in itertools.compress(itertools.count(), map((0).__eq__, walk)):
-            if packing.matrix(_gray_digits(s, spec.p, m)).is_invertible():
-                count += 1
-    return count
+    deltas = []
+    for v in packing.images(x, x * zeta):
+        deltas += (v, packing.sub(0, v))
+    steps = _gray_steps(p, m)
+    walk = itertools.accumulate(map(deltas.__getitem__, steps), packing.add, initial=0)
+    hits = itertools.compress(itertools.count(), map((0).__eq__, walk))
+    return sum(packing.matrix(_gray_digits(s, p, m)).is_invertible() for s in hits)
 
 
 def count_w(
@@ -1000,6 +994,8 @@ def count_w(
     zeta = spec.el(zeta)
     if not zeta:
         raise ValueError("zeta must be a unit")
+    if n < 1:
+        raise ValueError("n must be positive")
     if strategy == "class":
         return _twist_count("W", n, spec, zeta, limits)
     if strategy != "brute":

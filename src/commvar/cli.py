@@ -291,15 +291,9 @@ def _suite_group(args, limits) -> list[dict]:
     # coset law: exhaustive when small, else sampled witnesses
     size = census.gl_order(args.n, spec.q)
     if size * size <= 200_000 and spec.q ** (args.n**2) <= limits.max_brute:
-        invertibles = [
-            x for x in census._all_matrices(spec, args.n) if x.is_invertible()
-        ]
-        zi = matgf.Mat.scalar(spec, args.n, inst.zeta)
         bad = 0
-        for x in invertibles:
-            brute = sum(
-                1 for y in invertibles if matgf.group_commutator(x, y) == zi
-            )
+        for x in filter(matgf.Mat.is_invertible, census._all_matrices(spec, args.n)):
+            brute = census._group_solutions(x, inst.zeta)
             coset = typea_group.solution_set_for_x(x, inst.zeta)
             expect = coset.count if coset else 0
             if brute != expect:
@@ -511,7 +505,7 @@ def _cmd_count(args) -> int:
                 "%s count %d at q=%d differs from the point-count polynomial %s"
                 % (strategy, value, q, poly)
             )
-    expected = _expected_dimension(args, p_char)
+    expected = _expected_dimension(poly_variety, args.n, args.d, p_char)
     # an empty variety (all counts 0) has no growth exponent to fit
     fittable = len(fit_points) >= 2 and all(count for _, count in fit_points)
     fit = census.estimate_dimension(fit_points) if fittable else None
@@ -557,17 +551,17 @@ def _expect_failure(expected, fit, fit_points) -> str | None:
     return None
 
 
-def _expected_dimension(args, p_char) -> int | None:
-    n = args.n
-    if args.variety == "lie":
+def _expected_dimension(variety, n, d, p_char) -> int | None:
+    """The formula's dimension of the variety counted ("commuting" when c = 0)."""
+    if variety == "lie":
         if n % p_char:
             return None
         return n * n + n // p_char
-    if args.variety == "commuting":
+    if variety == "commuting":
         return n * n + n
-    if args.variety == "group":
-        return n * n + n // args.d
-    return n * n + n // args.d - n
+    if variety == "group":
+        return n * n + n // d
+    return n * n + n // d - n
 
 
 # -- classes and dims ---------------------------------------------------------------

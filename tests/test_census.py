@@ -146,6 +146,21 @@ def test_count_group_pairs():
         cs.count_group_pairs(2, F3, F3.zero, "class")
 
 
+@pytest.mark.parametrize("strategy", ["class", "brute"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_counters_reject_nonpositive_n(n, strategy):
+    zeta = gf.root_of_unity(F3, 2)
+    counters = [
+        lambda: cs.count_lie_pairs(n, F3, 1, strategy),
+        lambda: cs.count_commuting_pairs(n, F3, strategy),
+        lambda: cs.count_group_pairs(n, F3, zeta, strategy),
+        lambda: cs.count_w(n, F3, zeta, strategy),
+    ]
+    for count in counters:
+        with pytest.raises(ValueError, match="n must be positive"):
+            count()
+
+
 def test_count_group_cross_checked_against_solution_cosets():
     # q = 5: class formula equals the sum over classes of size * per-x count
     zeta = gf.root_of_unity(F5, 2)
@@ -202,7 +217,8 @@ def test_brute_pair_walk_equals_polynomial():
     grid = [(1, gf.field(p, k)) for p, k in small]
     grid += [(2, spec) for spec in (F2, F3, F4, F5)] + [(3, F2)]
     for n, spec in grid:
-        # every size here takes the pair scan, not the per-matrix kernel
+        # sizes up to PAIR_SCAN_MAX pairs, where verify's lie-trace suite
+        # runs the brute count; each A takes the per-matrix kernel
         assert spec.q ** (2 * n * n) <= cs.PAIR_SCAN_MAX
         for c in (spec.zero, spec.one):
             poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
@@ -267,8 +283,9 @@ def test_ad_walk_yields_images_at_gray_rank():
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9)])
 def test_odd_p_per_matrix_scan_equals_polynomial(n, q):
-    # too many pairs for the pair walk, so every matrix takes the packed
-    # kernel; GF(8) and GF(9) put several F_p-digits in every entry
+    # sizes above PAIR_SCAN_MAX pairs, on the same per-matrix packed kernel
+    # as every brute Lie count; GF(8) and GF(9) put several F_p-digits in
+    # every entry
     assert q ** (2 * n * n) > cs.PAIR_SCAN_MAX
     spec = {8: gf.field(2, 3), 9: gf.field(3, 2)}.get(q) or gf.field(q)
     # c = 1 at (4, 2) is 295,680, asserted by the acceptance tests

@@ -157,6 +157,17 @@ def test_count_empty_lie_variety_with_expect(capsys):
     assert [c["count"] for c in json.loads(out)["counts"]] == ["0", "0"]
 
 
+@pytest.mark.parametrize("p,qs", [("2", "2,4"), ("3", "3,9")])
+def test_count_lie_c0_expects_commuting_dimension(capsys, p, qs):
+    # c = 0 counts the commuting variety, of dimension n^2 + n in every
+    # characteristic
+    code, doc = run_json(
+        capsys, ["count", "lie", "--p", p, "--n", "2", "--qs", qs, "--c", "0", "--expect"]
+    )
+    assert code == 0
+    assert doc["expected_dimension"] == 6 and doc["match"] is True
+
+
 def test_count_expect_single_q_says_why(capsys):
     code, out, err = run(capsys, ["count", "commuting", "--n", "2", "--qs", "2", "--expect"])
     assert code == 1
@@ -234,6 +245,10 @@ def test_config_errors_exit_2(capsys):
         ["--max-brute", "10", "count", "lie", "--n", "2", "--qs", "2,4", "--strategy", "brute"],
     )
     assert code == 2
+    code, _, err = run(
+        capsys, ["count", "lie", "--p", "2", "--n", "0", "--qs", "2", "--strategy", "brute"]
+    )
+    assert code == 2 and err == "error: n must be positive\n"
 
 
 @pytest.mark.parametrize(
