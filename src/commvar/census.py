@@ -13,10 +13,11 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
   the sum is 0.  W takes one Smith normal form per invertible x: x ~ zeta x
   iff the twist fixes each invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
-  For Lie and commuting pairs it is a sum over Green's class types of
-  M_n(F_q) (multisets of (degree, partition)), each weighted by its number
-  of classes, its class size and q^dim C; for group pairs and W it is a sum
-  over the zeta-twist orbits of those types, valid for q = 1 (mod ord zeta).
+  For commuting pairs it is the Feit-Fine sum over the partitions of n,
+  and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
+  commuting polynomial at r = n/p (zero where p does not divide n); for
+  group pairs and W it is a sum over the zeta-twist orbits of Green's class
+  types (multisets of (degree, partition)), valid for q = 1 (mod ord zeta).
 
 Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
 classes one by one; the counters do not use it, and the tests compare the
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 from . import polyring
 from .errors import LimitExceeded, MathCheckFailed
-from .gf import Fe, FieldSpec, _prime_divisors
+from .gf import Fe, FieldSpec, _is_prime, _prime_divisors
 from .matgf import Mat, block_diag, companion, invariant_factors, primary_data
 from .polyring import Poly
 
@@ -274,7 +275,7 @@ def centralizer_group_order(rep: ClassRep, q: int | None = None) -> int:
     return rep.centralizer_order
 
 
-# -- class types -----------------------------------------------------------------
+# -- types: multisets of (kind, partition) -------------------------------------
 
 def _multisets(keys, n: int):
     """Sorted multisets of keys whose sizes sum to n; keys are (size, key)."""
@@ -293,6 +294,15 @@ def _multisets(keys, n: int):
     return out
 
 
+def _partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n): how many partitions each size has."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for w in range(part, n + 1):
+            p[w] += p[w - part]
+    return p
+
+
 def _num_multisets(kind_sizes, n: int) -> int:
     """How many multisets of (kind, partition lam) have sizes summing to n.
 
@@ -300,10 +310,7 @@ def _num_multisets(kind_sizes, n: int) -> int:
     coefficient of prod_m (1 - x^m)^(-a_m), where a_m counts the pairs of
     size m, by the Euler transform recurrence; nothing is listed.
     """
-    p = [1] + [0] * n  # partition numbers
-    for part in range(1, n + 1):
-        for w in range(part, n + 1):
-            p[w] += p[w - part]
+    p = _partition_numbers(n)
     a = [sum(p[m // k] for k in kind_sizes if m % k == 0) for m in range(n + 1)]
     c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
     b = [1]
@@ -312,34 +319,10 @@ def _num_multisets(kind_sizes, n: int) -> int:
     return b[n]
 
 
-@functools.lru_cache(maxsize=None)
-def class_types(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Green's class types of M_n(F_q), in deterministic order.
-
-    A type is a sorted multiset of (degree d, partition lam) with
-    sum d * |lam| = n: the primary data of a class with each irreducible
-    replaced by its degree.  The list does not depend on q.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    keys = [
-        (d * w, (d, lam))
-        for d in range(1, n + 1)
-        for w in range(1, n // d + 1)
-        for lam in partitions(w)
-    ]
-    return tuple(_multisets(keys, n))
-
-
-def _num_class_types(n: int) -> int:
-    """len(class_types(n)) without listing the types."""
-    return _num_multisets(range(1, n + 1), n)
-
-
-def _check_type_limit(num_types: int, n: int, limits: CensusLimits) -> None:
-    if num_types > limits.max_classes:
+def _check_class_limit(size: int, what: str, n: int, limits: CensusLimits) -> None:
+    if size > limits.max_classes:
         raise LimitExceeded(
-            "%d class types at n=%d exceed limit %d" % (num_types, n, limits.max_classes)
+            "%d %s at n=%d exceed limit %d" % (size, what, n, limits.max_classes)
         )
 
 
@@ -504,16 +487,6 @@ def _q_power(k: int) -> QPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _irreducible_count_poly(d: int) -> QPoly:
-    """Monic irreducibles of degree d over F_q: (1/d) sum_{e|d} mu(d/e) q^e."""
-    coeffs = [0] * (d + 1)
-    for e in range(1, d + 1):
-        if d % e == 0:
-            coeffs[e] = polyring._moebius(d // e)
-    return QPoly(coeffs, d)
-
-
-@functools.lru_cache(maxsize=None)
 def _gl_order_poly(n: int) -> QPoly:
     """|GL_n(F_q)| = q^(n(n-1)/2) prod_{i=1..n} (q^i - 1)."""
     out = _q_power(n * (n - 1) // 2)
@@ -549,24 +522,30 @@ def _class_size_poly(n: int, factors) -> QPoly:
 def _lie_polynomial(n: int, p: int) -> QPoly:
     """#{(A, B) : AB - BA = cI} over F_q as a polynomial in q.
 
-    p = 0 gives c = 0 (commuting pairs, every q); otherwise c != 0 in
-    characteristic p, where only types whose partition parts are all
-    divisible by p count.  The types must cover q^(n^2) matrices as a
-    polynomial identity.
+    p = 0 gives c = 0, the commuting pairs, for every q (Feit-Fine):
+    C_n = sum_{lam |- n} |GL_n| prod_i q^(k_i + k_i(k_i+1)/2) / prod_{j<=k_i} (q^j - 1),
+    k_i the multiplicity of part i in lam; every division must be exact.
+    Otherwise c != 0 in characteristic p, where cI is in the image of ad_A
+    iff every partition part of A's class is divisible by p; that keeps the
+    Feit-Fine factors at u^p, so L_{pr} = |GL_pr| / |GL_r| C_r and L_n = 0
+    for p not dividing n.
     """
-    covering = []
+    if p:
+        if n % p:
+            return QPoly()
+        r = n // p
+        out = _lie_polynomial(r, 0).shift((n * (n - 1) - r * (r - 1)) // 2)
+        for i in range(r + 1, n + 1):
+            out = out.mul_q_power_minus_one(i)
+        return out
     terms = []
-    for ctype in class_types(n):
-        product, divisor = _type_multiplicity(ctype, _irreducible_count_poly)
-        matrices = product * _class_size_poly(n, _centralizer_factors(ctype)) / divisor
-        covering.append(matrices)
-        if not p or all(part % p == 0 for _, lam in ctype for part in lam):
-            terms.append(matrices.shift(dim_centralizer_from_primary(ctype)))
-    covered = QPoly.sum(covering)
-    if covered != _q_power(n * n):
-        raise MathCheckFailed(
-            "class types at n=%d cover %s matrices, not q^%d" % (n, covered, n * n)
-        )
+    for lam in partitions(n):
+        term = _gl_order_poly(n)
+        for k in Counter(lam).values():
+            term = term.shift(k + k * (k + 1) // 2)
+            for j in range(1, k + 1):
+                term = term.div_q_power_minus_one(j)
+        terms.append(term)
     return QPoly.sum(terms)
 
 
@@ -655,19 +634,21 @@ def point_count_polynomial(
     "commuting": AB = BA, for every q; "group": x^-1 y^-1 x y = zeta I and
     "W": x conjugate to zeta x, for zeta of order d and every q = 1 (mod d).
     Its degree is the dimension of the variety, and its leading coefficient
-    counts the components of that dimension.  The number of types summed is
-    bounded by limits.max_classes.
+    counts the components of that dimension.  limits.max_classes bounds the
+    work of the sum: p(n) * n for Lie and commuting pairs (partitions of n,
+    each divided by at most n factors), the number of twist types for group
+    pairs and W.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if variety == "lie" and p < 2:
+    if variety == "lie" and not _is_prime(p):
         raise ValueError("the lie polynomial needs the characteristic p")
     if variety in ("lie", "commuting"):
-        _check_type_limit(_num_class_types(n), n, limits)
+        _check_class_limit(_partition_numbers(n)[n] * n, "partition-sum steps", n, limits)
         return _lie_polynomial(n, p if variety == "lie" else 0)
     if variety in ("group", "W"):
         sizes = [(d // s) * e for e, s in _twist_kinds(n, d)]
-        _check_type_limit(_num_multisets(sizes, n), n, limits)
+        _check_class_limit(_num_multisets(sizes, n), "twist types", n, limits)
         group, w = _twist_polynomials(n, d)
         return group if variety == "group" else w
     raise ValueError("unknown variety %r" % variety)

@@ -170,6 +170,8 @@ class GroupDims:
 
 def group_dims(n: int, d: int) -> GroupDims:
     """Closed-form dimensions n^2 + n/d and n^2 + n/d - n."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
     if n % d != 0:
         raise ValueError("d must divide n")
     return GroupDims(n, d, n * n + n // d, n * n + n // d - n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf import Fe, FieldSpec
+from .gf import Fe, FieldSpec, _is_prime
 from .matgf import (
     AffineMatSpace,
     Mat,
@@ -342,6 +342,10 @@ class ComponentDims:
 
 def component_dimensions(p: int, n: int) -> ComponentDims:
     """Dimension arithmetic for the variety families at n = p*r."""
+    if not _is_prime(p):
+        raise ValueError("p must be prime")
+    if n < 1:
+        raise ValueError("n must be positive")
     if n % p != 0:
         raise ValueError("p must divide n")
     r = n // p

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import _type_sum as ts
 from commvar import census as cs
 from commvar import gf, matgf as mg, typea_group as tg
 from commvar.errors import LimitExceeded, MathCheckFailed
@@ -337,18 +338,20 @@ def test_limit_exceeded():
         cs.count_lie_pairs(2, F5, 1, "brute", tiny)
     with pytest.raises(LimitExceeded):
         cs.count_w(3, F5, F5.el(4), "brute", tiny)
-    # Lie and commuting class counts are bounded by the number of class
-    # types, which does not depend on q
+    # Lie and commuting class counts are bounded by the partition sum's
+    # p(n) * n steps, which do not depend on q
     three = cs.CensusLimits(max_classes=3)
     with pytest.raises(LimitExceeded):
         cs.count_lie_pairs(4, F2, 1, "class", three)
     with pytest.raises(LimitExceeded):
         cs.count_commuting_pairs(4, F2, "class", three)
-    # refused from the count of types alone, before any type is listed
-    with pytest.raises(LimitExceeded):
-        cs.count_commuting_pairs(40, F2)
-    with pytest.raises(LimitExceeded):
-        cs.point_count_polynomial("commuting", 40)
+    # refused from the partition count alone, before any partition is
+    # listed; n = 31 is the first size over the default limit
+    for n in (31, 40):
+        with pytest.raises(LimitExceeded):
+            cs.count_commuting_pairs(n, F2)
+        with pytest.raises(LimitExceeded):
+            cs.point_count_polynomial("commuting", n)
     # the polynomial builds are bounded the same way
     with pytest.raises(LimitExceeded):
         cs.point_count_polynomial("commuting", 4, limits=three)
@@ -409,16 +412,25 @@ def test_consistency_iff_divisibility_per_class():
 
 
 def test_class_types():
-    assert cs.class_types(2) == (
+    assert ts.class_types(2) == (
         ((1, (1,)), (1, (1,))),
         ((1, (2,)),),
         ((1, (1, 1)),),
         ((2, (1,)),),
     )
-    assert len(cs.class_types(4)) == 22
-    assert len(cs.class_types(6)) == 103
+    assert len(ts.class_types(4)) == 22
+    assert len(ts.class_types(6)) == 103
     for n in range(1, 9):
-        assert cs._num_class_types(n) == len(cs.class_types(n))
+        assert ts.num_class_types(n) == len(ts.class_types(n))
+
+
+def test_closed_forms_equal_type_sum_reference():
+    # the Feit-Fine partition sum and the Lie product, against Green's
+    # class-type sum with its covering check
+    for n in range(1, 9):
+        assert cs.point_count_polynomial("commuting", n) == ts.type_sum(n), n
+        for p in (2, 3, 5, 7):
+            assert cs.point_count_polynomial("lie", n, p=p) == ts.type_sum(n, p), (n, p)
 
 
 def test_type_sum_equals_per_class_kernel_sum():
@@ -465,17 +477,17 @@ def test_counts_build_field_tables_for_every_strategy():
 
 
 def test_type_sum_checks_fire_under_optimize():
-    # a wrong irreducible count breaks the covering identity of the class
-    # types; the check must raise even where python -O strips assert
+    # |GL_n| without its factor q^n - 1 leaves a partition-sum division
+    # inexact; the check must raise even where python -O strips assert
     # statements
     src = str(Path(cs.__file__).resolve().parents[1])
     code = (
         "from commvar import census, gf\n"
         "from commvar.errors import MathCheckFailed\n"
-        "real = census._irreducible_count_poly\n"
-        "census._irreducible_count_poly = lambda d: real(d) + int(d == 2)\n"
+        "real = census._gl_order_poly\n"
+        "census._gl_order_poly = lambda n: real(n).div_q_power_minus_one(n)\n"
         "try:\n"
-        "    census.count_lie_pairs(2, gf.field(2), 1)\n"
+        "    census.count_commuting_pairs(2, gf.field(2))\n"
         "except MathCheckFailed as exc:\n"
         "    print('raised:', exc)\n"
     )
@@ -485,7 +497,7 @@ def test_type_sum_checks_fire_under_optimize():
         text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised: class types at n=2 cover q^4+q^2-q matrices, not q^4\n"
+    assert out.stdout == "raised: q^6 is not divisible by q^2-1\n"
 
 
 def test_count_report_schema():
@@ -534,7 +546,7 @@ def test_commuting_polynomials():
         == "q^12+q^11+2*q^10-2*q^8-2*q^7+q^5"
     )
     # dimension n^2 + n with one top-dimensional component
-    for n in range(1, 6):
+    for n in range(1, 17):
         poly = cs.point_count_polynomial("commuting", n)
         assert poly.degree == n * n + n and poly.leading_coefficient == 1
 
@@ -546,6 +558,14 @@ def test_lie_polynomials_equal_type_sum():
     assert cs.point_count_polynomial("lie", 3, p=3).degree == 10
     assert cs.point_count_polynomial("lie", 4, p=2).degree == 18
     assert cs.point_count_polynomial("lie", 3, p=2).degree is None
+    for p in (2, 3, 5, 7):
+        for n in range(1, 25):
+            poly = cs.point_count_polynomial("lie", n, p=p)
+            if n % p:
+                assert poly == cs.QPoly(), (n, p)
+            else:
+                assert poly.degree == n * n + n // p, (n, p)
+                assert poly.leading_coefficient == 1, (n, p)
 
 
 def _class_enumeration_counts(n, spec, zeta):
@@ -570,6 +590,9 @@ def test_twist_polynomials_equal_class_enumeration():
 def test_point_count_polynomial_arguments():
     with pytest.raises(ValueError):
         cs.point_count_polynomial("lie", 2)  # no characteristic
+    for p in (1, 4, 6):  # not a characteristic
+        with pytest.raises(ValueError):
+            cs.point_count_polynomial("lie", 4, p=p)
     with pytest.raises(ValueError):
         cs.point_count_polynomial("other", 2)
 

@@ -230,6 +230,24 @@ def test_dims_commands(capsys):
     assert doc["dim_V"] == 10 and doc["dim_W"] == 7
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["lie", "--p", "0", "--n", "4"], "p must be prime"),
+        (["lie", "--p", "1", "--n", "4"], "p must be prime"),
+        (["lie", "--p", "4", "--n", "4"], "p must be prime"),
+        (["lie", "--p", "2", "--n", "0"], "n must be positive"),
+        (["lie", "--p", "2", "--n", "-2"], "n must be positive"),
+        (["group", "--n", "4", "--d", "0"], "n and d must be positive"),
+        (["group", "--n", "-2", "--d", "2"], "n and d must be positive"),
+    ],
+)
+def test_dims_rejects_invalid_input(capsys, argv, message):
+    code, out, err = run(capsys, ["dims"] + argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_config_errors_exit_2(capsys):
     code, _, err = run(capsys, ["count", "group", "--n", "3", "--d", "2", "--qs", "3,9"])
     assert code == 2 and "error" in err

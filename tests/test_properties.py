@@ -1,4 +1,4 @@
-"""Property tests: conjugation invariants and class-size sums.
+"""Property tests: conjugation invariants, class-size sums and point counts.
 
 Hypothesis runs derandomized with few examples, so every run draws the
 same cases and the module stays fast.
@@ -63,3 +63,27 @@ def test_class_sizes_sum_to_matrix_and_group_orders(case):
     assert sum(cl.class_size for cl in cs.enumerate_classes(n, spec)) == q ** (n * n)
     invertible = cs.enumerate_classes(n, spec, restrict_invertible=True)
     assert sum(cl.class_size for cl in invertible) == cs.gl_order(n, q)
+
+
+@properties
+@given(
+    st.sampled_from([(n, spec) for n in (1, 2) for spec in FIELDS] + [(3, FIELDS[0])]),
+    st.booleans(),
+)
+def test_polynomial_equals_class_kernel_sum_and_brute_count(case, scalar):
+    # [A, B] = cI for c = 1 or c = 0: the closed form at q, the per-class
+    # ad-rank kernel over enumerate_classes, and the brute walk agree
+    n, spec = case
+    q = spec.q
+    c = spec.one if scalar else spec.zero
+    value = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)(q)
+    packing = cs._packing(spec, n)
+    target = packing.scalar(c.idx)
+    class_sum = 0
+    for cl in cs.enumerate_classes(n, spec):
+        a = cl.representative
+        rank, consistent = cs._ad_rank_consistency(packing, packing.images(a, a), target)
+        if consistent:
+            class_sum += cl.class_size * q ** (n * n - rank)
+    assert value == class_sum
+    assert value == cs.count_lie_pairs(n, spec, c, "brute")

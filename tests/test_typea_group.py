@@ -182,5 +182,6 @@ def test_group_dims():
     assert tg.group_dims(2, 2).as_dict() == {"n": 2, "d": 2, "dim_V": 5, "dim_W": 3}
     assert tg.group_dims(3, 3).as_dict() == {"n": 3, "d": 3, "dim_V": 10, "dim_W": 7}
     assert tg.group_dims(4, 2).as_dict() == {"n": 4, "d": 2, "dim_V": 18, "dim_W": 14}
-    with pytest.raises(ValueError):
-        tg.group_dims(3, 2)
+    for n, d in [(3, 2), (4, 0), (-2, 2), (0, 2)]:
+        with pytest.raises(ValueError):
+            tg.group_dims(n, d)

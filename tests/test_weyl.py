@@ -198,8 +198,9 @@ def test_component_dimensions():
     assert cd.dim_scalar_commutator == 10
     assert cd.pgl_components == (10, 9)
     assert not cd.psl_times_k_applicable
-    with pytest.raises(ValueError):
-        weyl.component_dimensions(3, 4)
+    for p, n in [(3, 4), (0, 4), (1, 4), (4, 4), (2, 0), (2, -2)]:
+        with pytest.raises(ValueError):
+            weyl.component_dimensions(p, n)
 
 
 def test_exhaustive_solutions_2x2_f2_block_sizes_and_traces():
