@@ -3,15 +3,18 @@
 Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
 the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
-* brute: literal enumeration, one path per count.  For Lie and commuting
-  pairs A runs through M_n(F_q) in Gray order, and since A -> ad_A is
-  linear, each step adds the packed images of ad of one signed basis matrix
-  to those of ad_A; each A then solves ad_A(B) = cI exactly, by elimination
-  of its images over every field.  For group pairs, each invertible x walks
-  y through M_n(F_q) in Gray order, adding the image of one basis matrix
+* brute: enumeration, one path per count, of one matrix per scalar orbit
+  times the orbit size.  ad_{A + lam I} = ad_A, so for Lie and commuting
+  pairs A runs through M_n(F_q) mod F_q I (orbits of size q) in Gray order;
+  A -> ad_A is linear, so each step adds the packed images of ad of one
+  signed basis matrix to those of ad_A, and each A solves ad_A(B) = cI
+  exactly, by elimination of its images over every field.  For group pairs
+  and W, y^-1 (mu x) y = zeta mu x iff y^-1 x y = zeta x, so x runs through
+  the invertible x mod F_q^x (orbits of size q - 1).  Each such x walks y
+  through M_n(F_q) in Gray order, adding the image of one basis matrix
   under y -> xy - y(zeta x) per step, and tests y for invertibility where
-  the sum is 0.  W takes one Smith normal form per invertible x: x ~ zeta x
-  iff the twist fixes each invariant factor;
+  the sum is 0.  W takes one Smith normal form per such x: x ~ zeta x iff
+  the twist fixes each invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For commuting pairs it is the Feit-Fine sum over the partitions of n,
   and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
@@ -321,9 +324,7 @@ def _num_multisets(kind_sizes, n: int) -> int:
 
 def _check_class_limit(size: int, what: str, n: int, limits: CensusLimits) -> None:
     if size > limits.max_classes:
-        raise LimitExceeded(
-            "%d %s at n=%d exceed limit %d" % (size, what, n, limits.max_classes)
-        )
+        raise LimitExceeded("%s at n=%d exceed limit %d" % (what, n, limits.max_classes))
 
 
 def _type_multiplicity(ctype, kind_count):
@@ -644,7 +645,8 @@ def point_count_polynomial(
     if variety == "lie" and not _is_prime(p):
         raise ValueError("the lie polynomial needs the characteristic p")
     if variety in ("lie", "commuting"):
-        _check_class_limit(_partition_numbers(n)[n] * n, "partition-sum steps", n, limits)
+        for m in range(1, n + 1):  # p(m) * m grows with m: stop at the first m past the limit
+            _check_class_limit(_partition_numbers(m)[m] * m, "partition-sum steps", n, limits)
         return _lie_polynomial(n, p if variety == "lie" else 0)
     if variety in ("group", "W"):
         sizes = [(d // s) * e for e, s in _twist_kinds(n, d)]
@@ -804,19 +806,22 @@ def _gray_digits(s: int, p: int, m: int) -> list[int]:
 
 
 def _ad_walk(packing: _Packing):
-    """packing.images(A, A) for every A in M_n(F_q), A in Gray order.
+    """packing.images(A, A) but its last k, one A per coset A + F_q I, Gray order.
 
-    A -> ad_A is F_p-linear, so a step that moves coordinate r of A by +-1
-    adds the images of +-ad of the basis matrix of lane r to the current
-    images.  Steps come lazily and every yielded list is new, so memory
-    does not grow with the number of matrices.
+    ad_{A + lam I} = ad_A, and each coset has one A with entry (n-1, n-1) 0,
+    so the walk moves only the other n^2 k - k lanes: q^(n^2 - 1) matrices.
+    The images of E_{n-1,n-1} e_t it drops add with the other diagonal ones
+    to ad_A(e_t I) = 0, so they lie in the span.  A -> ad_A is F_p-linear,
+    so a step that moves coordinate r of A by +-1 adds the images of +-ad of
+    the basis matrix of lane r to the current images.  Steps come lazily and
+    every yielded list is new, so memory does not grow with the matrices.
     """
-    m = packing.n**2 * packing.spec.k
+    m = (packing.n**2 - 1) * packing.spec.k
     add, sub = packing.add, packing.sub
     deltas = []
     for r in range(m):
-        basis = packing.matrix([int(c == r) for c in range(m)])
-        up = packing.images(basis, basis)
+        basis = packing.matrix([int(c == r) for c in range(m + packing.spec.k)])
+        up = packing.images(basis, basis)[:m]
         deltas += (up, [sub(0, v) for v in up])
     images = [0] * m
     yield images
@@ -853,10 +858,18 @@ def _ad_rank_consistency(packing: _Packing, images: list[int], target: int) -> t
 
 # -- counting ------------------------------------------------------------------
 
-def _all_matrices(spec: FieldSpec, n: int):
-    q = spec.q
-    for entries in itertools.product(range(q), repeat=n * n):
+def _all_matrices(spec: FieldSpec, n: int, head=()):
+    """The matrices whose row-major entries start with head, in product order."""
+    for tail in itertools.product(range(spec.q), repeat=n * n - len(head)):
+        entries = head + tail
         yield Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _scalar_orbit_reps(spec: FieldSpec, n: int):
+    """One matrix per orbit of F_q^x on the nonzero matrices: the first
+    nonzero entry, in row-major order, is 1; (q^(n^2) - 1) / (q - 1) of them."""
+    for lead in range(n * n):
+        yield from _all_matrices(spec, n, (0,) * lead + (spec.one_idx,))
 
 
 def count_lie_pairs(
@@ -889,8 +902,9 @@ def _count_lie_brute(n, spec, c, limits) -> int:
         raise LimitExceeded(
             "brute scan of %d matrices exceeds limit %d" % (q**nn, limits.max_brute)
         )
-    # A walks M_n(F_q) in Gray order, its ad images updated step by step, and
-    # each A solves ad_A(B) = cI exactly: q^(n^2 - rank) solutions or none
+    # A walks M_n(F_q) mod F_q I in Gray order, its ad images updated step by
+    # step, and each A solves ad_A(B) = cI exactly: q^(n^2 - rank) solutions
+    # or none, for each of the q matrices of its coset
     packing = _packing(spec, n)
     target = packing.scalar(c.idx)
     count = 0
@@ -898,7 +912,7 @@ def _count_lie_brute(n, spec, c, limits) -> int:
         rank, consistent = _ad_rank_consistency(packing, images, target)
         if consistent:
             count += q ** (nn - rank)
-    return count
+    return q * count
 
 
 def count_commuting_pairs(
@@ -940,8 +954,8 @@ def count_group_pairs(
     pairs = gl_order(n, q) ** 2
     if q**nn > limits.max_brute or pairs > min(PAIR_SCAN_MAX * 4, limits.max_brute):
         raise LimitExceeded("group brute scan exceeds the configured limit")
-    invertibles = filter(Mat.is_invertible, _all_matrices(spec, n))
-    return sum(_group_solutions(x, zeta) for x in invertibles)
+    invertibles = filter(Mat.is_invertible, _scalar_orbit_reps(spec, n))
+    return (q - 1) * sum(_group_solutions(x, zeta) for x in invertibles)
 
 
 def _group_solutions(x: Mat, zeta: Fe) -> int:
@@ -983,9 +997,8 @@ def count_w(
         raise ValueError("unknown strategy %r" % strategy)
     if spec.q ** (n * n) > limits.max_brute:
         raise LimitExceeded("brute scan exceeds the configured limit")
-    return sum(
-        1 for x in _all_matrices(spec, n) if x.is_invertible() and _twist_fixed(x, zeta)
-    )
+    reps = _scalar_orbit_reps(spec, n)
+    return (spec.q - 1) * sum(x.is_invertible() and _twist_fixed(x, zeta) for x in reps)
 
 
 # -- dimension estimation --------------------------------------------------------

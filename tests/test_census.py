@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import _literal_scan as ls
 import _type_sum as ts
 from commvar import census as cs
 from commvar import gf, matgf as mg, typea_group as tg
@@ -270,16 +271,58 @@ def test_image_kernel_equals_rref():
 def test_ad_walk_yields_images_at_gray_rank():
     for n, spec in [(2, F2), (3, F2), (2, F3), (2, F4), (2, gf.field(2, 3)), (2, gf.field(3, 2))]:
         packing = cs._packing(spec, n)
-        p, m = spec.p, n * n * spec.k
+        p, k = spec.p, spec.k
+        m = n * n * k - k  # the walk leaves the k lanes of entry (n-1, n-1) at 0
         seen = set()
         # every yielded list is its own, so they can be kept and compared later
         for s, images in enumerate(list(cs._ad_walk(packing))):
-            a = packing.matrix(cs._gray_digits(s, p, m))
-            assert images == packing.images(a, a), (n, spec.q, s)
+            a = packing.matrix(cs._gray_digits(s, p, m) + [0] * k)
+            assert a.at(n - 1, n - 1).idx == 0
+            # the images of E_{n-1,n-1} e_t are dropped: they lie in the span
+            assert images == packing.images(a, a)[:m], (n, spec.q, s)
             seen.add(a)
-        assert len(seen) == s + 1 == spec.q ** (n * n), (n, spec.q)
-    # lazy: 2^36 matrices, of which only the first is built
-    assert next(cs._ad_walk(cs._packing(F2, 6))) == [0] * 36
+        assert len(seen) == s + 1 == spec.q ** (n * n - 1), (n, spec.q)
+    # lazy: 2^35 matrices, of which only the first is built
+    assert next(cs._ad_walk(cs._packing(F2, 6))) == [0] * 35
+
+
+def test_orbit_scans_equal_literal_scans():
+    fields = [F2, F3, F4, F5, gf.field(7), gf.field(2, 3), gf.field(3, 2)]
+    grid = [(n, spec) for n in (1, 2, 3) for spec in fields if spec.q ** (n * n) <= 1 << 16]
+    assert (3, F3) in grid and (2, gf.field(3, 2)) in grid
+    for n, spec in grid:
+        for c in {spec.zero, spec.one, gf.Fe(spec, spec.q - 1)}:
+            literal = ls.lie_count(n, spec, c)
+            assert cs.count_lie_pairs(n, spec, c, "brute") == literal, (n, spec.q, c)
+    for n, d, spec in ((1, 1, F3), (2, 2, F3), (2, 2, F5), (2, 1, F4)):
+        zeta = gf.root_of_unity(spec, d)
+        assert cs.count_group_pairs(n, spec, zeta, "brute") == ls.group_count(n, spec, zeta)
+        assert cs.count_w(n, spec, zeta, "brute") == ls.w_count(n, spec, zeta), (n, d, spec.q)
+    f9 = gf.field(3, 2)
+    zeta = gf.root_of_unity(f9, 2)
+    assert cs.count_w(2, f9, zeta, "brute") == ls.w_count(2, f9, zeta)
+
+
+def test_scalar_orbit_identities():
+    import random
+
+    rng = random.Random(12)
+    for spec in (F3, F4, F5, gf.field(3, 2)):
+        units = [gf.Fe(spec, i) for i in range(1, spec.q)]
+        reps = list(cs._scalar_orbit_reps(spec, 2))
+        assert len(reps) == (spec.q**4 - 1) // (spec.q - 1)
+        assert {x * mu for x in reps for mu in units} == set(all_mats(spec, 2)) - {
+            mg.Mat.zeros(spec, 2, 2)
+        }
+        for n in (2, 3):
+            packing = cs._packing(spec, n)
+            for _ in range(20):
+                a = mg.Mat(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)])
+                lam = mg.Mat.scalar(spec, n, gf.Fe(spec, rng.randrange(spec.q)))
+                assert packing.images(a + lam, a + lam) == packing.images(a, a)
+                mu = rng.choice(units)
+                for zeta in units:
+                    assert cs._twist_fixed(a * mu, zeta) == cs._twist_fixed(a, zeta), (a, mu)
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9)])
@@ -369,6 +412,15 @@ def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         cs.enumerate_classes(2, F4, limits=four)
     assert cs.count_commuting_pairs(2, F4, "class", four) == 5056
+
+
+def test_partition_limit_message_names_n_and_limit():
+    # p(m) * m passes the default limit at m = 31, so n = 20000 is refused
+    # there, and the message names n and the limit, not the step count
+    with pytest.raises(LimitExceeded) as err:
+        cs.point_count_polynomial("commuting", 20000)
+    assert len(str(err.value)) < 200
+    assert "n=20000" in str(err.value) and "200000" in str(err.value)
 
 
 def test_estimate_dimension():
