@@ -5,16 +5,20 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
 * brute: enumeration, one path per count, of one matrix per scalar orbit
   times the orbit size.  ad_{A + lam I} = ad_A, so for Lie and commuting
-  pairs A runs through M_n(F_q) mod F_q I (orbits of size q) in Gray order;
-  A -> ad_A is linear, so each step adds the packed images of ad of one
-  signed basis matrix to those of ad_A, and each A solves ad_A(B) = cI
-  exactly, by elimination of its images over every field.  For group pairs
-  and W, y^-1 (mu x) y = zeta mu x iff y^-1 x y = zeta x, so x runs through
-  the invertible x mod F_q^x (orbits of size q - 1).  Each such x walks y
-  through M_n(F_q) in Gray order, adding the image of one basis matrix
-  under y -> xy - y(zeta x) per step, and tests y for invertibility where
-  the sum is 0.  W takes one Smith normal form per such x: x ~ zeta x iff
-  the twist fixes each invariant factor;
+  pairs A runs through M_n(F_q) mod F_q I (orbits of size q) in blocks of
+  p^s matrices, one per SWAR lane: each int holds one F_p-digit of one ad
+  image for the whole block.  A -> ad_A is linear, so the first s
+  coordinates of A give digit-plane patterns times fixed images, built
+  once, and each block adds its own matrix's images as lane broadcasts.
+  One elimination per block solves ad_A(B) = cI exactly for every lane at
+  once, over every field, and yields how many A have each rank and how
+  many of those reach cI.  For group pairs and W, y^-1 (mu x) y = zeta mu x
+  iff y^-1 x y = zeta x, so x runs through the invertible x mod F_q^x
+  (orbits of size q - 1).  Each such x walks y through M_n(F_q) in Gray
+  order, adding the image of one basis matrix under y -> xy - y(zeta x) per
+  step, and tests y for invertibility where the sum is 0.  W takes one
+  Smith normal form per such x: x ~ zeta x iff the twist fixes each
+  invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For commuting pairs it is the Feit-Fine sum over the partitions of n,
   and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
@@ -675,24 +679,74 @@ def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int
 
 # -- packed F_p-digit matrices and the Gray-code walk ----------------------------
 
+def _repeat(x: int, span: int, count: int) -> int:
+    """count copies of x, span bits apart, built by doubling."""
+    out = shift = 0
+    while count:
+        if count & 1:
+            out |= x << shift
+            shift += span
+        x |= x << span
+        span *= 2
+        count >>= 1
+    return out
+
+
+class _Lanes:
+    """SWAR arithmetic mod p on count lanes of one int, lane 0 lowest.
+
+    Over characteristic 2 a lane is one bit and adding is XOR; otherwise a
+    lane is wide enough for the sum of two digits, and add and sub reduce
+    every lane mod p at once.  ones has bit 0 of every lane set and full
+    every bit; nonzero(x) is the full mask of the lanes where x is nonzero.
+    """
+
+    def __init__(self, p: int, count: int):
+        self.p = p
+        self.width = width = 1 if p == 2 else p.bit_length() + 1
+        self.ones = _repeat(1, width, count)
+        self.full = (self.ones << width) - self.ones
+        if p == 2:
+            self.add = self.sub = operator.xor
+            return
+        self._p_lanes = p * self.ones
+        self._high = self.ones << (width - 1)
+        self._bias = self._high - self._p_lanes  # 2^(width-1) - p in every lane
+        self._nonzero_bias = self._high - self.ones  # 2^(width-1) - 1 in every lane
+
+    def _reduce(self, s: int) -> int:
+        """Lanes in [0, 2p) to their residues mod p."""
+        return s - (((s + self._bias) & self._high) >> (self.width - 1)) * self.p
+
+    def add(self, x: int, y: int) -> int:
+        return self._reduce(x + y)
+
+    def sub(self, x: int, y: int) -> int:
+        return self._reduce(x + self._p_lanes - y)
+
+    def nonzero(self, x: int) -> int:
+        if self.p == 2:
+            return x
+        low = ((x + self._nonzero_bias) & self._high) >> (self.width - 1)
+        return (low << self.width) - low
+
+
 class _Packing:
     """n x n matrices over GF(p^k) packed into one int of F_p-digit lanes.
 
     Lane c = (i*n + j)*k + t holds digit t (the place p^t of the packed
     index) of entry (i, j), so it is the coordinate of the F_p-basis matrix
-    E_ij * e_t, where e_t is the element with packed index p^t.  Over
-    characteristic 2 a lane is one bit and adding is XOR; otherwise a lane
-    is wide enough for the sum of two digits, and add and sub reduce every
-    lane mod p at once (SWAR).  A nonzero vector's bit length lies in its
-    leading lane, and lanes maps it to every bit length that lane allows,
-    so elimination can key pivots by bit length.
+    E_ij * e_t, where e_t is the element with packed index p^t.  add and
+    sub work on every lane at once (_Lanes).
     """
 
     def __init__(self, spec: FieldSpec, n: int):
         p, k = spec.p, spec.k
         self.spec = spec
         self.n = n
-        self.width = 1 if p == 2 else p.bit_length() + 1
+        lanes = _Lanes(p, n * n * k)
+        self.width = lanes.width
+        self.add, self.sub = lanes.add, lanes.sub
         bits = k * self.width  # per entry
         row_bits = n * bits
         spread = [
@@ -707,29 +761,11 @@ class _Packing:
         self._row_shifts = self._entry_shifts[::n]
         self._col0 = sum(((1 << bits) - 1) << r for r in self._row_shifts)  # column 0
         self._row0 = (1 << row_bits) - 1  # row 0
-        # lanes[t]: the bit lengths a vector can have when its leading lane holds bit t - 1
-        span = (p - 1).bit_length()
-        self.lanes = [
-            range(lo, lo + span)
-            for lo in (t - (t - 1) % self.width for t in range(n * row_bits + 1))
-        ]
-        if p == 2:
-            self.add = self.sub = operator.xor
-            return
-        ones = sum(1 << (c * self.width) for c in range(n * n * k))
-        self._p_lanes = p * ones
-        self._high = ones << (self.width - 1)
-        self._bias = self._high - self._p_lanes  # 2^(width-1) - p in every lane
 
-    def _reduce(self, s: int) -> int:
-        """Lanes in [0, 2p) to their residues mod p."""
-        return s - (((s + self._bias) & self._high) >> (self.width - 1)) * self.spec.p
-
-    def add(self, x: int, y: int) -> int:
-        return self._reduce(x + y)
-
-    def sub(self, x: int, y: int) -> int:
-        return self._reduce(x + self._p_lanes - y)
+    def digits(self, packed: int) -> list[int]:
+        """The lanes of a packed matrix, lane 0 first."""
+        mask = (1 << self.width) - 1
+        return [(packed >> (c * self.width)) & mask for c in range(self.n**2 * self.spec.k)]
 
     def _pack(self, scaled: list[int], m: Mat) -> int:
         """m e_t packed, for the digit table scaled = _scaled[t]."""
@@ -805,55 +841,133 @@ def _gray_digits(s: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _ad_walk(packing: _Packing):
-    """packing.images(A, A) but its last k, one A per coset A + F_q I, Gray order.
+# bits per int in a block of the brute Lie scan: p^s matrices, one per lane
+_BLOCK_BITS = 1 << 15
 
-    ad_{A + lam I} = ad_A, and each coset has one A with entry (n-1, n-1) 0,
-    so the walk moves only the other n^2 k - k lanes: q^(n^2 - 1) matrices.
-    The images of E_{n-1,n-1} e_t it drops add with the other diagonal ones
-    to ad_A(e_t I) = 0, so they lie in the span.  A -> ad_A is F_p-linear,
-    so a step that moves coordinate r of A by +-1 adds the images of +-ad of
-    the basis matrix of lane r to the current images.  Steps come lazily and
-    every yielded list is new, so memory does not grow with the matrices.
+
+def _digit_planes(lanes: _Lanes, s: int) -> list[int]:
+    """Plane j holds in lane l the base-p digit j of l, for l < p^s."""
+    p, w = lanes.p, lanes.width
+    planes = []
+    for j in range(s):
+        run = _repeat(1, w, p**j)  # p^j lanes of 1
+        period = sum(d * run << (d * p**j * w) for d in range(p))
+        planes.append(_repeat(period, p ** (j + 1) * w, p ** (s - j - 1)))
+    return planes
+
+
+def _ad_blocks(packing: _Packing, s: int):
+    """The images of ad_A for blocks of p^s matrices A, one A per lane.
+
+    A walks the matrices whose last k lanes (entry (n-1, n-1)) are 0, one
+    per coset A + F_q I: q^(n^2 - 1) of them.  Each block is (a, rows) with
+    a the block's matrix, whose first s lanes are 0; lane l of the block is
+    A = a + the matrix whose first s lanes are the base-p digits of l.
+    rows[r][c] holds in lane l digit c of ad_A applied to the basis matrix
+    of lane r, for r < n^2 k - k: the images of E_{n-1,n-1} e_t are dropped,
+    since they add with the other diagonal ones to ad_A(e_t I) = 0.
+    A -> ad_A is F_p-linear, so the first s lanes contribute the digit
+    planes times the images of their basis matrices, built once, and each
+    block adds the images of ad_a as lane broadcasts.  Blocks come lazily,
+    so memory does not grow with the matrices.
     """
-    m = (packing.n**2 - 1) * packing.spec.k
-    add, sub = packing.add, packing.sub
-    deltas = []
-    for r in range(m):
-        basis = packing.matrix([int(c == r) for c in range(m + packing.spec.k)])
-        up = packing.images(basis, basis)[:m]
-        deltas += (up, [sub(0, v) for v in up])
-    images = [0] * m
-    yield images
-    for step in _gray_steps(packing.spec.p, m):
-        images = list(map(add, images, deltas[step]))
-        yield images
+    p, k = packing.spec.p, packing.spec.k
+    cols = packing.n**2 * k
+    m = cols - k
+    lanes = _Lanes(p, p**s)
+    add = lanes.add
+    inner = [[0] * cols for _ in range(m)]
+    for j, plane in enumerate(_digit_planes(lanes, s)):
+        multiples = [0, plane]
+        while len(multiples) < p:
+            multiples.append(add(multiples[-1], plane))
+        basis = packing.matrix([int(c == j) for c in range(cols)])
+        for row, image in zip(inner, packing.images(basis, basis)):
+            for c, d in enumerate(packing.digits(image)):
+                if d:
+                    row[c] = add(row[c], multiples[d])
+    broadcast = [d * lanes.ones for d in range(p)]
+    for outer in itertools.product(range(p), repeat=m - s):
+        a = packing.matrix((0,) * s + outer + (0,) * k)
+        rows = [
+            [add(x, broadcast[d]) if d else x for x, d in zip(row, packing.digits(image))]
+            for row, image in zip(inner, packing.images(a, a))
+        ]
+        yield a, rows
 
 
-def _ad_rank_consistency(packing: _Packing, images: list[int], target: int) -> tuple[int, bool]:
-    """rank(ad_A) and whether cI lies in the image of ad_A.
+def _ad_rank_histogram(packing: _Packing, target: int) -> tuple[list[int], list[int]]:
+    """(walked, consistent): per rank of ad_A over F_q, how many A of the walk
+    of _ad_blocks have it, and how many of those have target in im ad_A.
 
-    Takes images = packing.images(A, A), whose F_p-span is im ad_A, of
-    F_p-dimension k * rank, and target = packing.scalar(c.idx), and
-    eliminates.  A pivot is filed under every bit length its leading lane
-    allows; subtracting it moves a vector's leading digit by a unit mod p,
-    so at most p - 1 steps clear that lane.
+    target = packing.scalar(c.idx).  Each block eliminates the F_p-images of
+    all its lanes at once, column by column: every lane takes as pivot its
+    first row that is nonzero there, the pivot rows are masked together into
+    one pivot vector, and masked subtractions of it clear the column in
+    every row of each lane; a subtraction moves a digit by the unit of the
+    pivot, so at most p - 1 clear it.  That also clears each pivot row in
+    its own lanes, so no row is a pivot twice.  A bit-sliced counter keeps
+    each lane's pivot count, its F_p-rank k * rank.  target rides along as
+    one more row that is never a pivot; it is in the image exactly where it
+    ends at 0.
     """
-    sub, lanes = packing.sub, packing.lanes
-    pivots = [0] * len(lanes)
-    found = 0
-    for v in images:
-        while v:
-            pivot = pivots[v.bit_length()]
-            if not pivot:
-                for t in lanes[v.bit_length()]:
-                    pivots[t] = v
-                found += 1
-                break
-            v = sub(v, pivot)
-    while target and pivots[target.bit_length()]:
-        target = sub(target, pivots[target.bit_length()])
-    return found // packing.spec.k, not target
+    spec, n = packing.spec, packing.n
+    p, k = spec.p, spec.k
+    cols = n * n * k
+    m = cols - k
+    s = 0
+    while s < m and p ** (s + 1) * packing.width <= _BLOCK_BITS:
+        s += 1
+    lanes = _Lanes(p, p**s)
+    sub, nonzero, ones, full = lanes.sub, lanes.nonzero, lanes.ones, lanes.full
+    goal_digits = [d * ones for d in packing.digits(target)]
+    walked = [0] * (n * n + 1)
+    consistent = [0] * (n * n + 1)
+    for _, rows in _ad_blocks(packing, s):
+        goal = list(goal_digits)
+        counter = []  # bit i of every lane's pivot count, at bit 0 of the lane
+        for col in range(cols):
+            free = full  # the lanes without a pivot in this column yet
+            pivot = None
+            for row in rows:
+                chosen = nonzero(row[col]) & free
+                if chosen:
+                    free ^= chosen
+                    part = [x & chosen for x in row[col:]]
+                    pivot = part if pivot is None else list(map(operator.or_, pivot, part))
+            if pivot is None:
+                continue
+            taken = full ^ free
+            pivot = [(i, x) for i, x in enumerate(pivot, col) if x]
+            for row in rows + [goal]:
+                mask = nonzero(row[col]) & taken
+                while mask:
+                    for i, x in pivot:
+                        row[i] = sub(row[i], x & mask)
+                    mask = nonzero(row[col]) & taken
+            carry = taken & ones
+            for i, bit in enumerate(counter):
+                counter[i], carry = bit ^ carry, bit & carry
+            if carry:
+                counter.append(carry)
+        missed = 0
+        for x in goal:
+            missed |= nonzero(x)
+        for rank in range(1 << len(counter)):
+            at = ones
+            for i, bit in enumerate(counter):
+                at &= bit if rank >> i & 1 else ~bit
+            if not at:
+                continue
+            if rank % k:
+                raise MathCheckFailed("ad_A has F_p-rank %d, not a multiple of k=%d" % (rank, k))
+            walked[rank // k] += at.bit_count()
+            consistent[rank // k] += (at & ~missed).bit_count()
+    if sum(walked) != spec.q ** (n * n - 1):
+        raise MathCheckFailed(
+            "the brute Lie scan walked %d matrices, not q^%d" % (sum(walked), n * n - 1)
+        )
+    return walked, consistent
 
 
 # -- counting ------------------------------------------------------------------
@@ -902,17 +1016,12 @@ def _count_lie_brute(n, spec, c, limits) -> int:
         raise LimitExceeded(
             "brute scan of %d matrices exceeds limit %d" % (q**nn, limits.max_brute)
         )
-    # A walks M_n(F_q) mod F_q I in Gray order, its ad images updated step by
-    # step, and each A solves ad_A(B) = cI exactly: q^(n^2 - rank) solutions
-    # or none, for each of the q matrices of its coset
+    # A walks M_n(F_q) mod F_q I in blocks of one A per lane, and each A
+    # solves ad_A(B) = cI exactly: q^(n^2 - rank) solutions or none, for each
+    # of the q matrices of its coset
     packing = _packing(spec, n)
-    target = packing.scalar(c.idx)
-    count = 0
-    for images in _ad_walk(packing):
-        rank, consistent = _ad_rank_consistency(packing, images, target)
-        if consistent:
-            count += q ** (nn - rank)
-    return q * count
+    _, consistent = _ad_rank_histogram(packing, packing.scalar(c.idx))
+    return q * sum(count * q ** (nn - rank) for rank, count in enumerate(consistent))
 
 
 def count_commuting_pairs(

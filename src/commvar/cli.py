@@ -370,11 +370,14 @@ def _suite_canon(args, limits) -> list[dict]:
         mats = list(census._all_matrices(spec, 2))
         factors = {m: matgf.invariant_factors(m) for m in mats}
         gl = [(g, g.inverse()) for g in mats if g.is_invertible()]
+        orbit = {}  # each matrix to its conjugation orbit, built once per orbit
         for a in mats:
-            orbit = {g @ a @ g_inv for g, g_inv in gl}
-            for b in mats:
-                if (factors[b] == factors[a]) != (b in orbit):
-                    bad += 1
+            if a not in orbit:
+                members = frozenset(g @ a @ g_inv for g, g_inv in gl)
+                orbit.update(dict.fromkeys(members, members))
+        bad += sum(
+            (factors[a] == factors[b]) != (orbit[a] is orbit[b]) for a in mats for b in mats
+        )
     checks.append(
         _check("invariant_factor_similarity", "pass" if bad == 0 else "fail",
                fields=[2, 3], size=2, failures=bad)

@@ -220,7 +220,7 @@ def test_brute_pair_walk_equals_polynomial():
     grid += [(2, spec) for spec in (F2, F3, F4, F5)] + [(3, F2)]
     for n, spec in grid:
         # sizes up to PAIR_SCAN_MAX pairs, where verify's lie-trace suite
-        # runs the brute count; each A takes the per-matrix kernel
+        # runs the brute count
         assert spec.q ** (2 * n * n) <= cs.PAIR_SCAN_MAX
         for c in (spec.zero, spec.one):
             poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
@@ -259,7 +259,7 @@ def test_image_kernel_equals_rref():
                         expected = (reduced.rank - 1, False)
                     else:
                         expected = (reduced.rank, True)
-                    kernel = cs._ad_rank_consistency(
+                    kernel = ls.ad_rank_consistency(
                         packing, packing.images(a, a), packing.scalar(c.idx)
                     )
                     assert kernel == expected, (a, c)
@@ -268,22 +268,63 @@ def test_image_kernel_equals_rref():
             assert ((True, True) in consistent_seen) == (n % spec.p == 0)
 
 
-def test_ad_walk_yields_images_at_gray_rank():
-    for n, spec in [(2, F2), (3, F2), (2, F3), (2, F4), (2, gf.field(2, 3)), (2, gf.field(3, 2))]:
+def test_ad_blocks_hold_the_images_of_every_lane():
+    # (n, spec, s): one block, and several blocks of p^s lanes
+    cases = [(2, F2, 3), (2, F2, 1), (3, F2, 8), (3, F2, 5), (2, F3, 3), (2, F3, 2),
+             (2, F4, 4), (2, gf.field(2, 3), 7), (2, gf.field(3, 2), 3), (2, F5, 1)]
+    for n, spec, s in cases:
         packing = cs._packing(spec, n)
         p, k = spec.p, spec.k
         m = n * n * k - k  # the walk leaves the k lanes of entry (n-1, n-1) at 0
         seen = set()
-        # every yielded list is its own, so they can be kept and compared later
-        for s, images in enumerate(list(cs._ad_walk(packing))):
-            a = packing.matrix(cs._gray_digits(s, p, m) + [0] * k)
-            assert a.at(n - 1, n - 1).idx == 0
-            # the images of E_{n-1,n-1} e_t are dropped: they lie in the span
-            assert images == packing.images(a, a)[:m], (n, spec.q, s)
-            seen.add(a)
-        assert len(seen) == s + 1 == spec.q ** (n * n - 1), (n, spec.q)
-    # lazy: 2^35 matrices, of which only the first is built
-    assert next(cs._ad_walk(cs._packing(F2, 6))) == [0] * 35
+        for a, rows in cs._ad_blocks(packing, s):
+            assert len(rows) == m
+            for lane in range(p**s):
+                inner = [(lane // p**j) % p for j in range(s)]
+                matrix = a + packing.matrix(inner + [0] * (n * n * k - s))
+                assert matrix.at(n - 1, n - 1).idx == 0
+                # the images of E_{n-1,n-1} e_t are dropped: they lie in the span
+                expected = [packing.digits(v) for v in packing.images(matrix, matrix)[:m]]
+                width = packing.width
+                held = [[(x >> (lane * width)) % (1 << width) for x in row] for row in rows]
+                assert held == expected, (n, spec.q, s, lane)
+                seen.add(matrix)
+        assert len(seen) == spec.q ** (n * n - 1), (n, spec.q, s)
+    # lazy: 2^35 matrices, of which only the first block is built
+    a, rows = next(cs._ad_blocks(cs._packing(F2, 6), 4))
+    assert a == mg.Mat.zeros(F2, 6, 6) and len(rows) == 35
+
+
+def test_ad_rank_histogram_equals_per_matrix_reference(monkeypatch):
+    fields = [F2, F3, F4, F5, gf.field(7), gf.field(2, 3), gf.field(3, 2)]
+    grid = [(n, spec) for n in (1, 2, 3) for spec in fields if spec.q ** (n * n - 1) <= 3**8]
+    assert (3, F3) in grid and (2, gf.field(3, 2)) in grid
+    for n, spec in grid:
+        packing = cs._packing(spec, n)
+        walk = [a for a in cs._all_matrices(spec, n) if a.at(n - 1, n - 1).idx == 0]
+        for c in {spec.zero, spec.one, gf.Fe(spec, spec.q - 1)}:
+            target = packing.scalar(c.idx)
+            walked, consistent = [0] * (n * n + 1), [0] * (n * n + 1)
+            for a in walk:
+                rank, solvable = ls.ad_rank_consistency(packing, packing.images(a, a), target)
+                walked[rank] += 1
+                consistent[rank] += solvable
+            assert sum(walked) == spec.q ** (n * n - 1)
+            expected = (walked, consistent)
+            assert cs._ad_rank_histogram(packing, target) == expected, (n, spec.q, c)
+            # narrow blocks: every walk with n >= 2 spans several
+            with monkeypatch.context() as patch:
+                patch.setattr(cs, "_BLOCK_BITS", 64)
+                assert cs._ad_rank_histogram(packing, target) == expected, (n, spec.q, c)
+
+
+def test_ad_rank_histogram_checks_its_total(monkeypatch):
+    # a walk that loses a block no longer totals q^(n^2 - 1)
+    blocks = cs._ad_blocks
+    monkeypatch.setattr(cs, "_BLOCK_BITS", 64)
+    monkeypatch.setattr(cs, "_ad_blocks", lambda packing, s: list(blocks(packing, s))[1:])
+    with pytest.raises(MathCheckFailed, match="walked 192 matrices, not q\\^8"):
+        cs.count_commuting_pairs(3, F2, "brute")
 
 
 def test_orbit_scans_equal_literal_scans():
@@ -325,13 +366,13 @@ def test_scalar_orbit_identities():
                     assert cs._twist_fixed(a * mu, zeta) == cs._twist_fixed(a, zeta), (a, mu)
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9)])
+@pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9), (3, 4)])
 def test_odd_p_per_matrix_scan_equals_polynomial(n, q):
-    # sizes above PAIR_SCAN_MAX pairs, on the same per-matrix packed kernel
-    # as every brute Lie count; GF(8) and GF(9) put several F_p-digits in
-    # every entry
+    # sizes above PAIR_SCAN_MAX pairs, on the same block elimination as
+    # every brute Lie count; GF(4), GF(8) and GF(9) put several F_p-digits
+    # in every entry, and GF(4) at n = 3 spans two blocks
     assert q ** (2 * n * n) > cs.PAIR_SCAN_MAX
-    spec = {8: gf.field(2, 3), 9: gf.field(3, 2)}.get(q) or gf.field(q)
+    spec = {4: F4, 8: gf.field(2, 3), 9: gf.field(3, 2)}.get(q) or gf.field(q)
     # c = 1 at (4, 2) is 295,680, asserted by the acceptance tests
     expected = {
         (3, 3): (809_433, 50_544),
@@ -339,6 +380,7 @@ def test_odd_p_per_matrix_scan_equals_polynomial(n, q):
         (4, 2): (2_526_976,),
         (2, 8): (294_400, 32_256),
         (2, 9): (589_761, 0),
+        (3, 4): (22_905_856,),
     }[n, q]
     for c, count in zip((0, 1), expected):
         poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
@@ -454,7 +496,7 @@ def test_consistency_iff_divisibility_per_class():
         packing = cs._packing(spec, n)
         for cl in cs.enumerate_classes(n, spec):
             a = cl.representative
-            _, consistent = cs._ad_rank_consistency(
+            _, consistent = ls.ad_rank_consistency(
                 packing, packing.images(a, a), packing.scalar(spec.one.idx)
             )
             divisible = all(
@@ -497,7 +539,7 @@ def test_type_sum_equals_per_class_kernel_sum():
                 total = 0
                 for cl in classes:
                     a = cl.representative
-                    rank, consistent = cs._ad_rank_consistency(
+                    rank, consistent = ls.ad_rank_consistency(
                         packing, packing.images(a, a), packing.scalar(c.idx)
                     )
                     assert rank == n * n - cl.dim_centralizer(), cl.data
