@@ -14,11 +14,10 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
   once, over every field, and yields how many A have each rank and how
   many of those reach cI.  For group pairs and W, y^-1 (mu x) y = zeta mu x
   iff y^-1 x y = zeta x, so x runs through the invertible x mod F_q^x
-  (orbits of size q - 1).  Each such x walks y through M_n(F_q) in Gray
-  order, adding the image of one basis matrix under y -> xy - y(zeta x) per
-  step, and tests y for invertibility where the sum is 0.  W takes one
-  Smith normal form per such x: x ~ zeta x iff the twist fixes each
-  invariant factor;
+  (orbits of size q - 1).  For each such x the y with xy = y(zeta x) are
+  the kernel of a linear map (matgf.kernel_basis), and only the members of
+  that kernel are tested for invertibility.  W takes one Smith normal form
+  per such x: x ~ zeta x iff the twist fixes each invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For commuting pairs it is the Feit-Fine sum over the partitions of n,
   and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
@@ -49,13 +48,21 @@ from fractions import Fraction
 from . import polyring
 from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec, _is_prime, _prime_divisors
-from .matgf import Mat, block_diag, companion, invariant_factors, primary_data
+from .matgf import (
+    Mat,
+    ad_matrix,
+    block_diag,
+    companion,
+    invariant_factors,
+    kernel_basis,
+    primary_data,
+)
 from .polyring import Poly
 
 getcontext().prec = 50
 
-# the brute group scan takes at most 4x this many pairs; verify's lie-trace
-# suite runs the brute Lie count only up to this many pairs
+# the brute group count refuses |GL_n(q)|^2 above 4x this; verify's
+# lie-trace suite runs the brute Lie count only up to this many pairs
 PAIR_SCAN_MAX = 1 << 20
 
 
@@ -677,7 +684,7 @@ def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int
     return _value_at(point_count_polynomial(variety, n, d=d, limits=limits), spec.q)
 
 
-# -- packed F_p-digit matrices and the Gray-code walk ----------------------------
+# -- packed F_p-digit matrices and the brute Lie scan -----------------------------
 
 def _repeat(x: int, span: int, count: int) -> int:
     """count copies of x, span bits apart, built by doubling."""
@@ -736,8 +743,8 @@ class _Packing:
 
     Lane c = (i*n + j)*k + t holds digit t (the place p^t of the packed
     index) of entry (i, j), so it is the coordinate of the F_p-basis matrix
-    E_ij * e_t, where e_t is the element with packed index p^t.  add and
-    sub work on every lane at once (_Lanes).
+    E_ij * e_t, where e_t is the element with packed index p^t.  sub works
+    on every lane at once (_Lanes).
     """
 
     def __init__(self, spec: FieldSpec, n: int):
@@ -746,7 +753,7 @@ class _Packing:
         self.n = n
         lanes = _Lanes(p, n * n * k)
         self.width = lanes.width
-        self.add, self.sub = lanes.add, lanes.sub
+        self.sub = lanes.sub
         bits = k * self.width  # per entry
         row_bits = n * bits
         spread = [
@@ -785,20 +792,19 @@ class _Packing:
         ]
         return Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
 
-    def images(self, a: Mat, b: Mat) -> list[int]:
-        """The packed images of the F_p-basis matrices under B -> aB - Bb.
+    def images(self, a: Mat) -> list[int]:
+        """The packed images of the F_p-basis matrices under ad_a: B -> aB - Ba.
 
         E_ij e_t goes to column i of a e_t placed in column j, minus row j
-        of e_t b placed in row i; lane order as in the class docstring.
+        of e_t a placed in row i; lane order as in the class docstring.
         """
         sub = self.sub
         col0, row0 = self._col0, self._row0
         by_digit = []
         for scaled in self._scaled:
-            packed_a = self._pack(scaled, a)
-            packed_b = packed_a if b is a else self._pack(scaled, b)
-            cols = [(packed_a >> shift) & col0 for shift in self._col_shifts]
-            rows = [(packed_b >> shift) & row0 for shift in self._row_shifts]
+            packed = self._pack(scaled, a)
+            cols = [(packed >> shift) & col0 for shift in self._col_shifts]
+            rows = [(packed >> shift) & row0 for shift in self._row_shifts]
             by_digit.append([
                 sub(col << col_shift, row << row_shift)
                 for col, row_shift in zip(cols, self._row_shifts)
@@ -810,35 +816,6 @@ class _Packing:
 @functools.lru_cache(maxsize=None)
 def _packing(spec: FieldSpec, n: int) -> _Packing:
     return _Packing(spec, n)
-
-
-def _gray_steps(p: int, m: int):
-    """The p^m - 1 steps of the reflected p-ary Gray code on m digits, lazily.
-
-    Step s moves from the word at rank s - 1 to the word at rank s (see
-    _gray_digits).  It changes digit r = v_p(s) by +1 when s // p^(r+1) is
-    even and by -1 otherwise, and is encoded as 2r, or 2r + 1 for -1
-    (Knuth, TAOCP 7.2.1.1).
-    """
-    for s in range(1, p**m):
-        r = 0
-        while s % p == 0:
-            s //= p
-            r += 1
-        yield 2 * r + (s // p) % 2
-
-
-def _gray_digits(s: int, p: int, m: int) -> list[int]:
-    """The word at rank s of the reflected p-ary Gray code, digit 0 first.
-
-    Digit j is the base-p digit s_j of s, reflected to p - 1 - s_j when
-    s // p^(j+1) is odd.
-    """
-    out = []
-    for _ in range(m):
-        s, digit = divmod(s, p)
-        out.append(p - 1 - digit if s % 2 else digit)
-    return out
 
 
 # bits per int in a block of the brute Lie scan: p^s matrices, one per lane
@@ -882,7 +859,7 @@ def _ad_blocks(packing: _Packing, s: int):
         while len(multiples) < p:
             multiples.append(add(multiples[-1], plane))
         basis = packing.matrix([int(c == j) for c in range(cols)])
-        for row, image in zip(inner, packing.images(basis, basis)):
+        for row, image in zip(inner, packing.images(basis)):
             for c, d in enumerate(packing.digits(image)):
                 if d:
                     row[c] = add(row[c], multiples[d])
@@ -891,7 +868,7 @@ def _ad_blocks(packing: _Packing, s: int):
         a = packing.matrix((0,) * s + outer + (0,) * k)
         rows = [
             [add(x, broadcast[d]) if d else x for x, d in zip(row, packing.digits(image))]
-            for row, image in zip(inner, packing.images(a, a))
+            for row, image in zip(inner, packing.images(a))
         ]
         yield a, rows
 
@@ -1068,22 +1045,21 @@ def count_group_pairs(
 
 
 def _group_solutions(x: Mat, zeta: Fe) -> int:
-    """#{y in GL_n(F_q) : y^-1 x y = zeta x}, by walking every y.
+    """#{y in GL_n(F_q) : y^-1 x y = zeta x}, over the solution space only.
 
-    y^-1 x y = zeta x  <=>  x y - y (zeta x) = 0, which is F_p-linear in y:
-    y walks M_n(F_q) in Gray order, each step adding the image of one signed
-    basis matrix, and is tested for invertibility only where the sum is 0.
+    y^-1 x y = zeta x  <=>  x y - y (zeta x) = 0, which is linear in y: the
+    solutions are the F_q-span of the kernel basis of B -> xB - B(zeta x).
+    The span is built one basis matrix at a time, adding each of its q
+    multiples to every member so far, and each member is tested for
+    invertibility.
     """
     spec, n = x.spec, x.n_rows
-    p, m = spec.p, n * n * spec.k
-    packing = _packing(spec, n)
-    deltas = []
-    for v in packing.images(x, x * zeta):
-        deltas += (v, packing.sub(0, v))
-    steps = _gray_steps(p, m)
-    walk = itertools.accumulate(map(deltas.__getitem__, steps), packing.add, initial=0)
-    hits = itertools.compress(itertools.count(), map((0).__eq__, walk))
-    return sum(packing.matrix(_gray_digits(s, p, m)).is_invertible() for s in hits)
+    members = [Mat.zeros(spec, n, n)]
+    for v in kernel_basis(ad_matrix(x, x * zeta)):
+        b = Mat(spec, [v[i * n : (i + 1) * n] for i in range(n)])
+        multiples = [b * c for c in spec.elements()]
+        members = [y + m for y in members for m in multiples]
+    return sum(map(Mat.is_invertible, members))
 
 
 def count_w(

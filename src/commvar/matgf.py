@@ -407,12 +407,16 @@ def solve_affine(m: Mat, b):
 
 # -- the commutator linear system --------------------------------------------
 
-def ad_matrix(a: Mat) -> Mat:
-    """Matrix of B -> AB - BA acting on row-major vectorized matrices."""
+def ad_matrix(a: Mat, b: Mat | None = None) -> Mat:
+    """Matrix of B -> aB - Bb (b = a by default: ad_a) acting on row-major
+    vectorized matrices."""
     if not a.is_square:
         raise ValueError("ad of a non-square matrix")
     spec = a.spec
     n = a.n_rows
+    b = a if b is None else b
+    if (b.n_rows, b.n_cols) != (n, n):
+        raise ValueError("shape mismatch")
     sub = spec.sub
     rows = []
     for i in range(n):
@@ -421,7 +425,7 @@ def ad_matrix(a: Mat) -> Mat:
             for k in range(n):
                 row[k * n + j] = a.rows[i][k]
             for l in range(n):
-                row[i * n + l] = sub(row[i * n + l], a.rows[l][j])
+                row[i * n + l] = sub(row[i * n + l], b.rows[l][j])
             rows.append(row)
     return Mat(spec, rows)
 
@@ -576,8 +580,8 @@ def _snf_diag(spec: FieldSpec, m, track: bool):
     """Smith normal form of polynomial matrix m (mutated).
 
     Returns (diag, uinv) where diag are monic diagonal entries in
-    divisibility order and uinv is the inverse of the accumulated row
-    transform (or None), so that column i of uinv generates the i-th
+    divisibility order and uinv is the inverse of the product of the row
+    transforms (or None), so that column i of uinv generates the i-th
     cyclic summand of the cokernel.
     """
     n = len(m)

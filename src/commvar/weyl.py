@@ -237,7 +237,7 @@ class SolutionFamily:
         spec = self.x.spec
         rng = random.Random(seed)
         return [
-            self.space.member([rng.randrange(spec.q) for _ in range(self.space.dim)])
+            self.space.member([Fe(spec, rng.randrange(spec.q)) for _ in range(self.space.dim)])
             for _ in range(count)
         ]
 

@@ -5,7 +5,8 @@ commuting pairs, x mod F_q^x for group pairs and W) and multiply by the
 orbit size, and the Lie and commuting scan eliminates a whole block of A
 at once, one A per lane.  These scans visit every A in M_n(F_q), each with
 its full list of packed ad images eliminated on its own, and every
-invertible x; the tests compare the two.
+invertible x, each with the same walk over the solutions y of
+xy = y(zeta x) as the counter; the tests compare the two.
 """
 
 import functools
@@ -26,7 +27,7 @@ def pivot_lanes(packing) -> list[range]:
 def ad_rank_consistency(packing, images: list[int], target: int) -> tuple[int, bool]:
     """rank(ad_A) and whether cI lies in the image of ad_A, for one A.
 
-    Takes images = packing.images(A, A), whose F_p-span is im ad_A, of
+    Takes images = packing.images(A), whose F_p-span is im ad_A, of
     F_p-dimension k * rank, and target = packing.scalar(c.idx), and
     eliminates.  A nonzero vector's bit length lies in its leading lane, so
     a pivot is filed under every bit length its leading lane allows;
@@ -56,14 +57,14 @@ def lie_count(n, spec, c) -> int:
     target = packing.scalar(spec.el(c).idx)
     count = 0
     for a in cs._all_matrices(spec, n):
-        rank, consistent = ad_rank_consistency(packing, packing.images(a, a), target)
+        rank, consistent = ad_rank_consistency(packing, packing.images(a), target)
         if consistent:
             count += spec.q ** (n * n - rank)
     return count
 
 
 def group_count(n, spec, zeta) -> int:
-    """#{(x, y) in GL_n^2 : y^-1 x y = zeta x}, one y-walk per invertible x."""
+    """#{(x, y) in GL_n^2 : y^-1 x y = zeta x}, one solution walk per invertible x."""
     zeta = spec.el(zeta)
     invertibles = filter(cs.Mat.is_invertible, cs._all_matrices(spec, n))
     return sum(cs._group_solutions(x, zeta) for x in invertibles)

@@ -147,6 +147,18 @@ def test_commutator_solutions_examples():
     assert sol is not None and sol.dim == mg.centralizer_dimension(j) == 2
 
 
+def test_ad_matrix_two_sided():
+    rng = random.Random(14)
+    for spec in (F4, F5, gf.field(3, 2)):
+        for n in (2, 3):
+            for _ in range(20):
+                a, b, m = (random_mat(spec, n, rng) for _ in range(3))
+                assert mg.ad_matrix(a, b).apply(mg.vec(m)) == mg.vec(a @ m - m @ b)
+                assert mg.ad_matrix(a) == mg.ad_matrix(a, a)
+    with pytest.raises(ValueError):
+        mg.ad_matrix(random_mat(F5, 2, rng), random_mat(F5, 3, rng))
+
+
 def test_min_poly_examples():
     assert mg.min_poly(mg.Mat.identity(F5, 3)) == pr.Poly.from_coeffs(F5, [-1 % 5, 1])
     nil = mg.Mat.from_rows(F5, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])

@@ -83,7 +83,7 @@ def test_polynomial_equals_class_kernel_sum_and_brute_count(case, scalar):
     class_sum = 0
     for cl in cs.enumerate_classes(n, spec):
         a = cl.representative
-        rank, consistent = ls.ad_rank_consistency(packing, packing.images(a, a), target)
+        rank, consistent = ls.ad_rank_consistency(packing, packing.images(a), target)
         if consistent:
             class_sum += cl.class_size * q ** (n * n - rank)
     assert value == class_sum

@@ -143,7 +143,7 @@ def test_solution_set_exhaustive_gl2_f3():
             assert coset.contains(coset.witness)
             assert all(coset.contains(y) for y in brute)
             assert sum(1 for y in invertibles if coset.contains(y)) == len(brute)
-        # the per-x Gray walk behind the brute group count and verify
+        # the per-x solution-space walk behind the brute group count and verify
         assert census._group_solutions(x, zeta) == len(brute)
         total += len(brute)
     assert total == census.count_group_pairs(2, F3, zeta, "class")

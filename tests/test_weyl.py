@@ -145,6 +145,18 @@ def test_solution_family_members_and_decompose():
     )
 
 
+def test_solution_family_sample_draws_from_the_whole_field():
+    # over GF(4) the sampled coefficients must reach beyond F_2 = {0, 1}
+    pair = weyl.build_block_pair(F4, 1)
+    fam = weyl.solution_family(pair.x, pair.y)
+    coeffs = set()
+    for y2 in fam.sample(50, seed=2):
+        f = fam.decompose(y2)
+        assert f is not None and fam.member(f) == y2
+        coeffs.update(f.coeffs)
+    assert coeffs - {0, F4.one_idx}
+
+
 def test_solution_family_rejects_bad_input():
     pair = weyl.build_block_pair(F2, 2)
     with pytest.raises(ValueError):
