@@ -22,8 +22,8 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
   For commuting pairs it is the Feit-Fine sum over the partitions of n,
   and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
   commuting polynomial at r = n/p (zero where p does not divide n); for
-  group pairs and W it is a sum over the zeta-twist orbits of Green's class
-  types (multisets of (degree, partition)), valid for q = 1 (mod ord zeta).
+  group pairs |GL_n| times the class number of GL_{n/d}, d = ord zeta, and
+  for W a sum over zeta-fixed Green class types; both for q = 1 (mod d).
 
 Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
 classes one by one; the counters do not use it, and the tests compare the
@@ -605,14 +605,33 @@ def _twist_orbit_count(e: int, s: int, d: int) -> QPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def _twist_polynomials(n: int, d: int) -> tuple[QPoly, QPoly]:
-    """(group pairs, W) over F_q for zeta of order d, q = 1 (mod d).
+def _group_polynomial(n: int, d: int) -> QPoly:
+    """#{(x, y) in GL_n^2 : x^-1 y^-1 x y = zeta I} for zeta of order d, q = 1 (mod d).
 
-    A zeta-fixed invertible class puts one partition on a whole twist
-    orbit, so its data is a multiset of (orbit kind, lam) with
-    sum (d/s) e |lam| = n.  Group pairs are |GL_n| times the number of fixed
-    classes; W is the sum of their sizes, where an orbit of kind (e, s)
-    gives d/s primary components (e, lam).
+    |GL_n| times the zeta-fixed invertible classes: one partition per twist
+    orbit of irreducibles f != t, whose product is h(t^d) for exactly one
+    irreducible h != t.  So they are the classes of GL_{n/d} (none if d does
+    not divide n), k(GL_m) = sum_{lam |- m} prod_k q^(k-1) (q - 1) over the
+    part multiplicities k of lam: Macdonald's prod_i (1 - u^i) / (1 - q u^i).
+    """
+    if n % d:
+        return QPoly()
+    terms = []
+    for lam in partitions(n // d):
+        term = _q_power(0)
+        for k in Counter(lam).values():
+            term = term.shift(k - 1).mul_q_power_minus_one(1)
+        terms.append(term)
+    return _gl_order_poly(n) * QPoly.sum(terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _w_polynomial(n: int, d: int) -> QPoly:
+    """#{x in GL_n : x ~ zeta x} for zeta of order d, q = 1 (mod d).
+
+    The sizes of the zeta-fixed invertible classes summed over multisets of
+    (orbit kind (e, s), lam) with sum (d/s) e |lam| = n; an orbit of kind
+    (e, s) gives d/s primary components (e, lam).
     """
     keys = [
         ((d // s) * e * w, ((e, s), lam))
@@ -620,17 +639,14 @@ def _twist_polynomials(n: int, d: int) -> tuple[QPoly, QPoly]:
         for w in range(1, n // ((d // s) * e) + 1)
         for lam in partitions(w)
     ]
-    fixed = []
     sizes = []
     for ttype in _multisets(keys, n):
         product, divisor = _type_multiplicity(
             ttype, lambda kind: _twist_orbit_count(*kind, d)
         )
-        classes = product / divisor
-        fixed.append(classes)
         data = [(e, lam) for (e, s), lam in ttype for _ in range(d // s)]
-        sizes.append(classes * _class_size_poly(n, _centralizer_factors(data)))
-    return _gl_order_poly(n) * QPoly.sum(fixed), QPoly.sum(sizes)
+        sizes.append(product / divisor * _class_size_poly(n, _centralizer_factors(data)))
+    return QPoly.sum(sizes)
 
 
 def point_count_polynomial(
@@ -647,23 +663,27 @@ def point_count_polynomial(
     "W": x conjugate to zeta x, for zeta of order d and every q = 1 (mod d).
     Its degree is the dimension of the variety, and its leading coefficient
     counts the components of that dimension.  limits.max_classes bounds the
-    work of the sum: p(n) * n for Lie and commuting pairs (partitions of n,
-    each divided by at most n factors), the number of twist types for group
-    pairs and W.
+    work of the sum: p(m) * m for Lie and commuting pairs at m = n and for
+    group pairs at m = n/d (partitions of m, each with at most m factors),
+    the number of twist types for W.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if variety == "lie" and not _is_prime(p):
         raise ValueError("the lie polynomial needs the characteristic p")
-    if variety in ("lie", "commuting"):
-        for m in range(1, n + 1):  # p(m) * m grows with m: stop at the first m past the limit
+    if variety in ("group", "W") and d < 1:
+        raise ValueError("d must be positive")
+    if variety in ("lie", "commuting", "group"):
+        # p(m) * m grows with m: stop at the first m past the limit
+        for m in range(1, (n // d if variety == "group" else n) + 1):
             _check_class_limit(_partition_numbers(m)[m] * m, "partition-sum steps", n, limits)
+        if variety == "group":
+            return _group_polynomial(n, d)
         return _lie_polynomial(n, p if variety == "lie" else 0)
-    if variety in ("group", "W"):
+    if variety == "W":
         sizes = [(d // s) * e for e, s in _twist_kinds(n, d)]
         _check_class_limit(_num_multisets(sizes, n), "twist types", n, limits)
-        group, w = _twist_polynomials(n, d)
-        return group if variety == "group" else w
+        return _w_polynomial(n, d)
     raise ValueError("unknown variety %r" % variety)
 
 
@@ -676,7 +696,7 @@ def _value_at(poly: QPoly, q: int) -> int:
 
 
 def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int:
-    """The group or W count from the twist polynomial of zeta's order d.
+    """The group or W count from the point-count polynomial of zeta's order d.
 
     zeta of order d exists only for q = 1 (mod d), where that polynomial holds.
     """
@@ -1023,8 +1043,8 @@ def count_group_pairs(
     """#{(x, y) in GL_n(F_q)^2 : x^-1 y^-1 x y = zeta I}.
 
     Class strategy: |GL_n(q)| times the number of invertible classes fixed
-    by the zeta-twist (solution sets over a fixed x are centralizer cosets),
-    as the point-count polynomial of zeta's order.
+    by the zeta-twist, which is the class number of GL_{n/d}, d the order
+    of zeta (_group_polynomial).
     """
     zeta = spec.el(zeta)
     if not zeta:
@@ -1149,7 +1169,7 @@ class CountReport:
             "n": self.n,
             "p": self.p,
             "counts": [
-                {"q": q, "count": str(count), "strategy": strategy}
+                {"q": q, "count": str(Decimal(count)), "strategy": strategy}
                 for q, count, strategy in self.counts
             ],
             "fitted_dimension": self.fit.fitted if self.fit else None,

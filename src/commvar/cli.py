@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from decimal import Decimal
 
 from . import census, gf, matgf, polyring, typea_group, weyl
 from .errors import LimitExceeded, MathCheckFailed
@@ -505,8 +506,8 @@ def _cmd_count(args) -> int:
     for q, value, strategy in counts:
         if poly(q) != value:
             raise MathCheckFailed(
-                "%s count %d at q=%d differs from the point-count polynomial %s"
-                % (strategy, value, q, poly)
+                "%s count %s at q=%d differs from the point-count polynomial %s"
+                % (strategy, Decimal(value), q, poly)
             )
     expected = _expected_dimension(poly_variety, args.n, args.d, p_char)
     # an empty variety (all counts 0) has no growth exponent to fit

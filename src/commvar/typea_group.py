@@ -17,6 +17,7 @@ from . import census
 from .gf import Fe, FieldSpec, root_of_unity
 from .matgf import (
     Mat,
+    block_diag,
     group_commutator,
     primary_data,
     similarity_transform,
@@ -50,16 +51,7 @@ def build_d_matrix(inst: ZetaInstance, a: Mat) -> Mat:
         raise ValueError("block seed must be %d x %d over %r" % (m, m, inst.spec))
     if not a.is_invertible():
         raise ValueError("singular block seed")
-    spec = inst.spec
-    rows = [[0] * inst.n for _ in range(inst.n)]
-    power = spec.one
-    for blk in range(inst.d):
-        off = blk * m
-        for i in range(m):
-            for j in range(m):
-                rows[off + i][off + j] = spec.mul(power.idx, a.rows[i][j])
-        power = power * inst.zeta
-    return Mat(spec, rows)
+    return block_diag(inst.spec, [a * inst.zeta**i for i in range(inst.d)])
 
 
 def build_rho(spec: FieldSpec, n: int, d: int) -> Mat:

@@ -20,6 +20,7 @@ from .matgf import (
     AffineMatSpace,
     Mat,
     ad_matrix,
+    block_diag,
     commutator_solutions,
     is_regular,
     lie_commutator,
@@ -125,19 +126,17 @@ def build_block_pair(spec: FieldSpec, r: int, scalars=None) -> BlockPair:
     bp = b0 ** (p - 1)
     n = p * r
     x_rows = [[0] * n for _ in range(n)]
-    y_rows = [[0] * n for _ in range(n)]
     for blk in range(r):
         off = blk * p
         s = scalars[blk].idx
         for i in range(p):
             for j in range(p):
                 x_rows[off + i][off + j] = a0.rows[i][j]
-                y_rows[off + i][off + j] = b0.rows[i][j]
             x_rows[off + i][off + i] = spec.add(x_rows[off + i][off + i], s)
             if blk + 1 < r:
                 for j in range(p):
                     x_rows[off + i][off + p + j] = bp.rows[i][j]
-    x, y = Mat(spec, x_rows), Mat(spec, y_rows)
+    x, y = Mat(spec, x_rows), block_diag(spec, [b0] * r)
     if lie_commutator(x, y) != Mat.identity(spec, n):
         raise AssertionError("construction violates [X,Y] = I")
     if r >= 2 and (x**p).is_zero:
@@ -284,22 +283,10 @@ def generic_split_pair(spec: FieldSpec, a_scalars, b_scalars) -> tuple[Mat, Mat]
     b_scalars = [spec.el(s) for s in b_scalars]
     if len(a_scalars) != len(b_scalars) or not a_scalars:
         raise ValueError("scalar lists must be nonempty and of equal length")
-    p = spec.p
     a0, b0 = nilpotent_generators(spec)
-    r = len(a_scalars)
-    n = p * r
-    a_rows = [[0] * n for _ in range(n)]
-    b_rows = [[0] * n for _ in range(n)]
-    for blk in range(r):
-        off = blk * p
-        for i in range(p):
-            for j in range(p):
-                a_rows[off + i][off + j] = a0.rows[i][j]
-                b_rows[off + i][off + j] = b0.rows[i][j]
-            a_rows[off + i][off + i] = spec.add(a_rows[off + i][off + i], a_scalars[blk].idx)
-            b_rows[off + i][off + i] = spec.add(b_rows[off + i][off + i], b_scalars[blk].idx)
-    a, b = Mat(spec, a_rows), Mat(spec, b_rows)
-    if lie_commutator(a, b) != Mat.identity(spec, n):
+    a = block_diag(spec, [a0 + Mat.scalar(spec, spec.p, s) for s in a_scalars])
+    b = block_diag(spec, [b0 + Mat.scalar(spec, spec.p, s) for s in b_scalars])
+    if lie_commutator(a, b) != Mat.identity(spec, a.n_rows):
         raise AssertionError("construction violates [A,B] = I")
     return a, b
 

@@ -1,11 +1,12 @@
-"""Reference: the Lie and commuting polynomials as sums over Green's class types.
+"""Reference: the Lie, commuting and group polynomials as sums over class types.
 
 A type is a sorted multiset of (degree d, partition lam) with
 sum d * |lam| = n: the primary data of a class with each irreducible
 replaced by its degree.  Each type contributes its number of classes, its
 class size and q^dim C solutions B per matrix, and the classes of all types
-must cover q^(n^2) matrices as a polynomial identity.  The counters use the
-Feit-Fine closed forms instead; the tests compare the two.
+must cover q^(n^2) matrices as a polynomial identity.  Group pairs count
+the zeta-fixed invertible classes by their twist types instead.  The
+counters use closed forms; the tests compare the two.
 """
 
 import functools
@@ -71,3 +72,26 @@ def type_sum(n: int, p: int = 0) -> QPoly:
         for ctype, matrices in _type_terms(n)
         if not p or all(part % p == 0 for _, lam in ctype for part in lam)
     )
+
+
+def twist_group_sum(n: int, d: int) -> QPoly:
+    """#{(x, y) in GL_n^2 : x^-1 y^-1 x y = zeta I} for zeta of order d.
+
+    |GL_n| times the number of zeta-fixed invertible classes, counted by
+    twist type: a multiset of (orbit kind (e, s), lam) with
+    sum (d/s) e |lam| = n, where an orbit of kind (e, s) is a mu_d-orbit of
+    d/s irreducibles f != t of degree e.
+    """
+    keys = [
+        ((d // s) * e * w, ((e, s), lam))
+        for e, s in cs._twist_kinds(n, d)
+        for w in range(1, n // ((d // s) * e) + 1)
+        for lam in cs.partitions(w)
+    ]
+    fixed = []
+    for ttype in cs._multisets(keys, n):
+        product, divisor = cs._type_multiplicity(
+            ttype, lambda kind: cs._twist_orbit_count(*kind, d)
+        )
+        fixed.append(product / divisor)
+    return cs._gl_order_poly(n) * QPoly.sum(fixed)

@@ -440,7 +440,8 @@ def test_limit_exceeded():
         cs.point_count_polynomial("commuting", 4, limits=three)
     with pytest.raises(LimitExceeded):
         cs.point_count_polynomial("group", 4, d=2, limits=three)
-    # group and W class counts are bounded by the number of twist types
+    # group class counts are bounded by the partition-sum steps at n/d,
+    # p(2) * 2 = 4 here; W class counts by the number of twist types
     with pytest.raises(LimitExceeded):
         cs.count_group_pairs(4, F5, gf.root_of_unity(F5, 2), "class", three)
     # ... and not by the number of classes, which refuses enumeration at q = 81
@@ -679,6 +680,37 @@ def test_twist_polynomials_equal_class_enumeration():
             assert poly.degree == dim and poly.leading_coefficient == 1
 
 
+def test_group_polynomial_equals_twist_type_sum():
+    # |GL_n| k(GL_{n/d}) against the twist-type count of the fixed classes
+    for n in range(1, 11):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                poly = cs.point_count_polynomial("group", n, d=d)
+                assert poly == ts.twist_group_sum(n, d), (n, d)
+
+
+def test_group_polynomial_is_gl_order_times_class_number():
+    # the zeta-fixed classes of GL_n are in bijection with the classes of
+    # GL_{n/d}, so the count is |GL_n| times the enumerated class number
+    cases = [(2, 2, F3), (4, 2, F3), (4, 2, F5), (3, 3, F4), (3, 3, gf.field(7)),
+             (4, 4, F5), (6, 2, F3), (6, 3, F4)]
+    for n, d, spec in cases:
+        classes = cs.enumerate_classes(n // d, spec, restrict_invertible=True)
+        expected = cs.gl_order(n, spec.q) * len(classes)
+        assert cs.point_count_polynomial("group", n, d=d)(spec.q) == expected, (n, d, spec.q)
+    # dimension n^2 + n/d with one top component, and empty for d not dividing n
+    for n in range(1, 25):
+        for d in range(1, n + 1):
+            poly = cs.point_count_polynomial("group", n, d=d)
+            if n % d:
+                assert poly == cs.QPoly(), (n, d)
+            else:
+                assert poly.degree == n * n + n // d, (n, d)
+                assert poly.leading_coefficient == 1, (n, d)
+    for strategy in ("class", "brute"):
+        assert cs.count_group_pairs(1, F3, 2, strategy) == 0
+
+
 def test_point_count_polynomial_arguments():
     with pytest.raises(ValueError):
         cs.point_count_polynomial("lie", 2)  # no characteristic
@@ -687,6 +719,10 @@ def test_point_count_polynomial_arguments():
             cs.point_count_polynomial("lie", 4, p=p)
     with pytest.raises(ValueError):
         cs.point_count_polynomial("other", 2)
+    for variety in ("group", "W"):  # zeta has no order below 1
+        for d in (0, -2):
+            with pytest.raises(ValueError):
+                cs.point_count_polynomial(variety, 4, d=d)
 
 
 def test_polynomial_mismatch_fires_under_optimize():
@@ -697,7 +733,8 @@ def test_polynomial_mismatch_fires_under_optimize():
         "import sys\n"
         "from commvar import census, cli\n"
         "census._lie_polynomial = lambda n, p: census.QPoly((0, 1))\n"
-        "census._twist_polynomials = lambda n, d: (census.QPoly((1,)),) * 2\n"
+        "census._group_polynomial = lambda n, d: census.QPoly((1,))\n"
+        "census._w_polynomial = lambda n, d: census.QPoly((1,))\n"
         "for argv in (['commuting', '--n', '2', '--qs', '2'],\n"
         "             ['group', '--n', '2', '--d', '2', '--qs', '3'],\n"
         "             ['W', '--n', '2', '--d', '2', '--qs', '3']):\n"

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from commvar import cli
+from commvar import census, cli
 
 
 def run(capsys, argv):
@@ -127,6 +128,16 @@ def test_count_group_expect_mismatch_is_exit_1(capsys):
     assert doc["exact_dimension"] == 5
     assert doc["point_count_polynomial"] == "q^5-2*q^4+2*q^2-q"
     assert doc["d"] == 2 and doc["zeta"]["3"] == "2"
+
+
+def test_count_with_more_than_4300_digits(capsys):
+    # |GL_48(97)| * 96 has about 4600 digits, past the default limit of
+    # int-to-str conversion
+    code, doc = run_json(capsys, ["count", "group", "--n", "48", "--d", "48", "--qs", "97"])
+    assert code == 0
+    poly = census.point_count_polynomial("group", 48, d=48)
+    assert doc["counts"][0]["count"] == str(Decimal(poly(97)))
+    assert len(doc["counts"][0]["count"]) > 4300
 
 
 def test_count_w_expect(capsys):
