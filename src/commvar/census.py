@@ -27,7 +27,11 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
 
 Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
 classes one by one; the counters do not use it, and the tests compare the
-polynomials against it.
+polynomials against it.  A class's centralizer order, class size and
+centralizer dimension depend only on its type, the (deg f, partition) of its
+primary data, and are computed once per type (_type_numbers).  The CLI's
+`classes` report builds on that and encodes each (irreducible, partition)
+pair once; its bytes stay exactly those of json.dumps(doc, indent=2).
 
 Counts are unbounded integers end to end; dimension fitting uses Decimal
 logarithms at 50 significant digits.  The counters' threads parameter is
@@ -142,10 +146,6 @@ def centralizer_order_from_primary(data, q: int) -> int:
     return total
 
 
-# for class types, whose few values recur across the classes of one field
-_type_centralizer_order = functools.lru_cache(maxsize=None)(centralizer_order_from_primary)
-
-
 def dim_centralizer_from_primary(data) -> int:
     """dim of the full matrix centralizer: sum deg(f) * sum conj(lam)_j^2."""
     total = 0
@@ -153,6 +153,21 @@ def dim_centralizer_from_primary(data) -> int:
         deg = f.degree if isinstance(f, Poly) else int(f)
         total += deg * sum(c * c for c in conjugate_partition(lam))
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _type_numbers(ctype, n: int, q: int) -> tuple[int, int, int]:
+    """(centralizer order, class size, centralizer dimension) of a class type.
+
+    ctype is the tuple of (deg f, partition) of a class's primary data; the
+    three numbers depend on nothing else, and few types recur across the
+    classes of one field.
+    """
+    order = centralizer_order_from_primary(ctype, q)
+    size, rem = divmod(gl_order(n, q), order)
+    if rem:
+        raise MathCheckFailed("centralizer order does not divide |GL| for type %r" % (ctype,))
+    return order, size, dim_centralizer_from_primary(ctype)
 
 
 def twist_poly(f: Poly, zeta: Fe) -> Poly:
@@ -201,21 +216,20 @@ class ClassRep:
         return block_diag(self.spec, blocks)
 
     @functools.cached_property
-    def centralizer_order(self) -> int:
+    def _numbers(self) -> tuple[int, int, int]:
         ctype = tuple((f.degree, lam) for f, lam in self.data)
-        return _type_centralizer_order(ctype, self.spec.q)
+        return _type_numbers(ctype, self.n, self.spec.q)
 
-    @functools.cached_property
+    @property
+    def centralizer_order(self) -> int:
+        return self._numbers[0]
+
+    @property
     def class_size(self) -> int:
-        size, rem = divmod(gl_order(self.n, self.spec.q), self.centralizer_order)
-        if rem:
-            raise MathCheckFailed(
-                "centralizer order does not divide |GL| for %r" % (self.data,)
-            )
-        return size
+        return self._numbers[1]
 
     def dim_centralizer(self) -> int:
-        return dim_centralizer_from_primary(self.data)
+        return self._numbers[2]
 
     @property
     def is_invertible(self) -> bool:
@@ -241,7 +255,9 @@ def enumerate_classes(
     """All conjugacy classes of M_n(F_q) (or GL_n(F_q)), deterministic order.
 
     Classes are multisets of (irreducible, partition) with total degree n;
-    restrict_invertible excludes the irreducible t.
+    restrict_invertible excludes the irreducible t.  The walk picks the
+    irreducibles of each class in canonical (degree, coeffs) order, so each
+    class's data comes out sorted.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -271,9 +287,7 @@ def enumerate_classes(
 
     out = []
     for data in gen(1, 0, n):
-        out.append(ClassRep(spec, n, tuple(sorted(
-            data, key=lambda fp: (fp[0].degree, fp[0].coeffs)
-        ))))
+        out.append(ClassRep(spec, n, data))
         if len(out) > limits.max_classes:
             raise LimitExceeded(
                 "class enumeration at n=%d q=%d exceeds limit %d"

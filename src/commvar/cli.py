@@ -52,7 +52,10 @@ def _limits(args) -> census.CensusLimits:
 
 
 def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    _emit_text(json.dumps(doc, indent=2) + "\n", args)
+
+
+def _emit_text(text: str, args) -> None:
     sys.stdout.write(text)
     if args.output:
         with open(args.output, "w") as fh:
@@ -570,34 +573,62 @@ def _expected_dimension(variety, n, d, p_char) -> int | None:
 
 # -- classes and dims ---------------------------------------------------------------
 
+# One entry of the "classes" list as json.dumps(doc, indent=2) lays it out
+# at depth 2; its "data" items are pair fragments at depth 4.
+_CLASS_ENTRY = (
+    '    {\n      "data": [\n%s\n      ],\n'
+    '      "class_size": "%d",\n'
+    '      "centralizer_order": "%d",\n'
+    '      "centralizer_dimension": %d\n    }'
+)
+_PAIR_INDENT = " " * 8
+
+
+def _classes_text(classes) -> str:
+    """json.dumps(list, indent=2) of the class entries, placed at depth 1.
+
+    Each distinct (irreducible, partition) pair is encoded once by json
+    and re-indented to its depth; the rest is a fixed skeleton.
+    """
+    pairs = {}
+    entries = []
+    for c in classes:
+        data = []
+        for f, lam in c.data:
+            key = (f.coeffs, lam)
+            text = pairs.get(key)
+            if text is None:
+                text = json.dumps([f.pretty(), list(lam)], indent=2)
+                text = pairs[key] = _PAIR_INDENT + text.replace("\n", "\n" + _PAIR_INDENT)
+            data.append(text)
+        entries.append(_CLASS_ENTRY % (
+            ",\n".join(data), c.class_size, c.centralizer_order, c.dim_centralizer()
+        ))
+    return "[\n" + ",\n".join(entries) + "\n  ]"
+
+
 def _cmd_classes(args) -> int:
     limits = _limits(args)
     spec = _field_from_q(args.q)
     classes = census.enumerate_classes(args.n, spec, args.invertible, limits)
-    total = sum(c.class_size for c in classes)
+    total = str(sum(c.class_size for c in classes))
+    expected = str(
+        census.gl_order(args.n, spec.q) if args.invertible else spec.q ** (args.n**2)
+    )
+    ok = total == expected
     doc = {
         "command": "classes",
         "n": args.n,
         "q": spec.q,
         "invertible_only": args.invertible,
         "count": len(classes),
-        "total_class_size": str(total),
-        "expected_total": str(
-            census.gl_order(args.n, spec.q) if args.invertible else spec.q ** (args.n**2)
-        ),
-        "classes": [
-            {
-                "data": [[f.pretty(), list(lam)] for f, lam in c.data],
-                "class_size": str(c.class_size),
-                "centralizer_order": str(c.centralizer_order),
-                "centralizer_dimension": c.dim_centralizer(),
-            }
-            for c in classes
-        ],
+        "total_class_size": total,
+        "expected_total": expected,
+        "classes": [],
+        "ok": ok,
     }
-    ok = doc["total_class_size"] == doc["expected_total"]
-    doc["ok"] = ok
-    _emit(doc, args)
+    head, tail = json.dumps(doc, indent=2).split('"classes": []')
+    _emit_text(head + '"classes": ' + _classes_text(classes) + tail + "\n", args)
     _say("classes n=%d q=%d: %d classes, completeness %s" % (args.n, spec.q, len(classes), ok))
     return 0 if ok else 1
 

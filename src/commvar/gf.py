@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 
+from .errors import MathCheckFailed
+
 _TABLE_MAX_Q = 256  # build full add/mul tables only for small fields
 
 
@@ -382,7 +384,7 @@ def _field(p: int, k: int) -> FieldSpec:
             coeffs = low + (1,)
             if polyring.is_irreducible(polyring.Poly(prime, coeffs)):
                 return FieldSpec(p, k, coeffs)
-    raise AssertionError("unreachable: irreducible polynomial of every degree exists")
+    raise MathCheckFailed("unreachable: irreducible polynomial of every degree exists")
 
 
 def frobenius(a: Fe) -> Fe:
@@ -397,7 +399,7 @@ def _smallest_primitive_idx(spec: FieldSpec) -> int:
     for a in range(1, spec.q):
         if all(spec.pow(a, n // ell) != spec.one_idx for ell in primes):
             return a
-    raise AssertionError("unreachable: the multiplicative group is cyclic")
+    raise MathCheckFailed("unreachable: the multiplicative group is cyclic")
 
 
 def root_of_unity(spec: FieldSpec, d: int) -> Fe:
@@ -431,7 +433,7 @@ def _embedding_root_idx(src: FieldSpec, target: FieldSpec) -> int:
             # monic t + c has root -c
             roots.append(target.neg(fac.coeffs[0]))
     if len(roots) != src.k:
-        raise AssertionError("modulus must split in the target field")
+        raise MathCheckFailed("modulus must split in the target field")
     return min(roots)
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import polyring
-from .errors import LimitExceeded
+from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec, embed, field
 from .polyring import (
     Poly,
@@ -690,7 +690,7 @@ def invariant_factors(a: Mat) -> InvariantFactors:
     diag, _ = _snf_diag(a.spec, _char_matrix(a), track=False)
     facs = [Poly(a.spec, e) for e in diag if len(e) > 1]
     if not facs:
-        raise AssertionError("tI - A always has a nontrivial factor")
+        raise MathCheckFailed("tI - A always has a nontrivial factor")
     return InvariantFactors(tuple(facs))
 
 
@@ -880,7 +880,7 @@ def _linear_factorization(d: Poly, seed: int):
     out = []
     for g, m in polyring.factor(d, seed):
         if g.degree != 1:
-            raise AssertionError("polynomial does not split over its field")
+            raise MathCheckFailed("polynomial does not split over its field")
         out.append((Fe(d.spec, d.spec.neg(g.coeffs[0])), m))
     out.sort(key=lambda lm: lm[0].idx)
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import census
+from .errors import MathCheckFailed
 from .gf import Fe, FieldSpec, root_of_unity
 from .matgf import (
     Mat,
@@ -140,7 +141,7 @@ def solution_set_for_x(x: Mat, zeta):
     order = census.centralizer_order_from_primary(primary_data(x), spec.q)
     coset = SolutionCoset(x, zeta, witness, order)
     if group_commutator(x, witness) != Mat.scalar(spec, x.n_rows, zeta):
-        raise AssertionError("transport witness fails the commutator identity")
+        raise MathCheckFailed("transport witness fails the commutator identity")
     return coset
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import MathCheckFailed
 from .gf import Fe, FieldSpec, _is_prime
 from .matgf import (
     AffineMatSpace,
@@ -88,9 +89,9 @@ def weyl_pair(spec: FieldSpec, alpha, beta) -> WeylPair:
     pair = WeylPair(p, alpha, beta, a, b)
     ident = Mat.identity(spec, p)
     if lie_commutator(a, b) != ident:
-        raise AssertionError("construction violates [A,B] = I")
+        raise MathCheckFailed("construction violates [A,B] = I")
     if a**p != Mat.scalar(spec, p, alpha**p) or b**p != Mat.scalar(spec, p, beta**p):
-        raise AssertionError("construction violates the scalar action of A^p, B^p")
+        raise MathCheckFailed("construction violates the scalar action of A^p, B^p")
     return pair
 
 
@@ -138,9 +139,9 @@ def build_block_pair(spec: FieldSpec, r: int, scalars=None) -> BlockPair:
                     x_rows[off + i][off + p + j] = bp.rows[i][j]
     x, y = Mat(spec, x_rows), block_diag(spec, [b0] * r)
     if lie_commutator(x, y) != Mat.identity(spec, n):
-        raise AssertionError("construction violates [X,Y] = I")
+        raise MathCheckFailed("construction violates [X,Y] = I")
     if r >= 2 and (x**p).is_zero:
-        raise AssertionError("X^p vanished; it must not for r >= 2")
+        raise MathCheckFailed("X^p vanished; it must not for r >= 2")
     return BlockPair(p, r, scalars, x, y)
 
 
@@ -255,9 +256,9 @@ def solution_family(x: Mat, y: Mat) -> SolutionFamily:
         raise ValueError("X must be regular")
     space = commutator_solutions(x, Mat.identity(spec, n))
     if space is None or space.dim != n:
-        raise AssertionError("solution space of a regular X must have dimension n")
+        raise MathCheckFailed("solution space of a regular X must have dimension n")
     if not space.contains(y):
-        raise AssertionError("Y must lie in the computed solution space")
+        raise MathCheckFailed("Y must lie in the computed solution space")
     # kernel of ad_X equals the span of the powers of X
     powers_space = AffineMatSpace(
         Mat.zeros(spec, n, n),
@@ -267,13 +268,13 @@ def solution_family(x: Mat, y: Mat) -> SolutionFamily:
     for _ in range(n):
         probe = space.particular + cur  # particular + kernel member stays a solution
         if lie_commutator(x, probe) != Mat.identity(spec, n):
-            raise AssertionError("powers of X must centralize X")
+            raise MathCheckFailed("powers of X must centralize X")
         if not space.contains(probe):
-            raise AssertionError("X powers must lie in the kernel of ad_X")
+            raise MathCheckFailed("X powers must lie in the kernel of ad_X")
         cur = cur @ x
     for b in space.basis:
         if not powers_space.contains(b):
-            raise AssertionError("kernel of ad_X must consist of polynomials in X")
+            raise MathCheckFailed("kernel of ad_X must consist of polynomials in X")
     return SolutionFamily(x, y, n - 1, space)
 
 
@@ -287,7 +288,7 @@ def generic_split_pair(spec: FieldSpec, a_scalars, b_scalars) -> tuple[Mat, Mat]
     a = block_diag(spec, [a0 + Mat.scalar(spec, spec.p, s) for s in a_scalars])
     b = block_diag(spec, [b0 + Mat.scalar(spec, spec.p, s) for s in b_scalars])
     if lie_commutator(a, b) != Mat.identity(spec, a.n_rows):
-        raise AssertionError("construction violates [A,B] = I")
+        raise MathCheckFailed("construction violates [A,B] = I")
     return a, b
 
 

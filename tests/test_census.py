@@ -65,6 +65,16 @@ def test_class_completeness():
             assert c.class_size * c.centralizer_order == cs.gl_order(n, spec.q)
 
 
+@pytest.mark.parametrize("invertible", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_data_strictly_increasing(n, q, invertible):
+    spec = {2: F2, 3: F3, 4: F4}[q]
+    for c in cs.enumerate_classes(n, spec, restrict_invertible=invertible):
+        keys = [(f.degree, f.coeffs) for f, _ in c.data]
+        assert all(a < b for a, b in zip(keys, keys[1:])), c.data
+
+
 def test_representative_reconstructs_data():
     for c in cs.enumerate_classes(2, F3):
         assert mg.primary_data(c.representative) == c.data

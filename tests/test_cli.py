@@ -231,6 +231,67 @@ def test_classes_command(capsys):
     assert doc["total_class_size"] == "48"
 
 
+def _classes_doc_reference(n, q, invertible):
+    """The classes report as a dict, each class's numbers from its primary data."""
+    spec = cli._field_from_q(q)
+    classes = census.enumerate_classes(n, spec, invertible)
+    order = census.gl_order(n, q)
+    entries = []
+    for c in classes:
+        centralizer = census.centralizer_order_from_primary(c.data, q)
+        entries.append({
+            "data": [[f.pretty(), list(lam)] for f, lam in c.data],
+            "class_size": str(order // centralizer),
+            "centralizer_order": str(centralizer),
+            "centralizer_dimension": census.dim_centralizer_from_primary(c.data),
+        })
+    total = str(sum(int(e["class_size"]) for e in entries))
+    expected = str(order if invertible else q ** (n * n))
+    return {
+        "command": "classes",
+        "n": n,
+        "q": q,
+        "invertible_only": invertible,
+        "count": len(classes),
+        "total_class_size": total,
+        "expected_total": expected,
+        "classes": entries,
+        "ok": total == expected,
+    }
+
+
+@pytest.mark.parametrize("invertible", [False, True])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classes_report_equals_stdlib_encoding(capsys, n, q, invertible):
+    argv = ["classes", "--n", str(n), "--q", str(q)] + ["--invertible"] * invertible
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(_classes_doc_reference(n, q, invertible), indent=2) + "\n"
+
+
+def test_classes_output_file_and_limit(capsys, tmp_path):
+    path = tmp_path / "classes.json"
+    code, out, _ = run(capsys, ["--output", str(path), "classes", "--n", "3", "--q", "4"])
+    assert code == 0
+    assert path.read_text() == out
+    code, out, err = run(capsys, ["--max-classes", "3", "classes", "--n", "2", "--q", "3"])
+    assert code == 2 and out == "" and "exceeds limit 3" in err
+
+
+def test_src_raises_no_bare_assertion_error():
+    # invariants raise MathCheckFailed, which names the failure and is
+    # still caught as an AssertionError by the CLI
+    src = Path(cli.__file__).parent
+    offenders = [
+        "%s:%d" % (path.name, i)
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "raise AssertionError" in line
+    ]
+    assert offenders == []
+
+
 def test_dims_commands(capsys):
     code, doc = run_json(capsys, ["dims", "lie", "--p", "2", "--n", "2"])
     assert code == 0
