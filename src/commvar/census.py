@@ -23,7 +23,7 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
   and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
   commuting polynomial at r = n/p (zero where p does not divide n); for
   group pairs |GL_n| times the class number of GL_{n/d}, d = ord zeta, and
-  for W a sum over zeta-fixed Green class types; both for q = 1 (mod d).
+  for W a product over the twist-orbit kinds; both for q = 1 (mod d).
 
 Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
 classes one by one; the counters do not use it, and the tests compare the
@@ -303,24 +303,7 @@ def centralizer_group_order(rep: ClassRep, q: int | None = None) -> int:
     return rep.centralizer_order
 
 
-# -- types: multisets of (kind, partition) -------------------------------------
-
-def _multisets(keys, n: int):
-    """Sorted multisets of keys whose sizes sum to n; keys are (size, key)."""
-    out = []
-
-    def rec(start, budget, prefix):
-        if budget == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(start, len(keys)):
-            size, key = keys[i]
-            if size <= budget:
-                rec(i, budget - size, prefix + [key])
-
-    rec(0, n, [])
-    return out
-
+# -- point-count polynomials ----------------------------------------------------
 
 def _partition_numbers(n: int) -> list[int]:
     """p(0), ..., p(n): how many partitions each size has."""
@@ -331,49 +314,9 @@ def _partition_numbers(n: int) -> list[int]:
     return p
 
 
-def _num_multisets(kind_sizes, n: int) -> int:
-    """How many multisets of (kind, partition lam) have sizes summing to n.
-
-    A kind of size k with partition lam has size k * |lam|.  This is the x^n
-    coefficient of prod_m (1 - x^m)^(-a_m), where a_m counts the pairs of
-    size m, by the Euler transform recurrence; nothing is listed.
-    """
-    p = _partition_numbers(n)
-    a = [sum(p[m // k] for k in kind_sizes if m % k == 0) for m in range(n + 1)]
-    c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
-    b = [1]
-    for m in range(1, n + 1):
-        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) // m)
-    return b[n]
-
-
 def _check_class_limit(size: int, what: str, n: int, limits: CensusLimits) -> None:
     if size > limits.max_classes:
         raise LimitExceeded("%s at n=%d exceed limit %d" % (what, n, limits.max_classes))
-
-
-def _type_multiplicity(ctype, kind_count):
-    """The number of classes of a type, as (falling product, divisor).
-
-    Entries of one kind take distinct objects of that kind (irreducibles of
-    a degree, or twist orbits), so each kind contributes a falling factorial
-    of kind_count(kind), a QPoly; entries that repeat m times are unordered,
-    hence the divisor m!.
-    """
-    product = 1
-    used = Counter()
-    for kind, _ in ctype:
-        count = kind_count(kind)
-        # skipping "- 0" saves a polynomial copy per entry
-        product = product * (count - used[kind] if used[kind] else count)
-        used[kind] += 1
-    divisor = 1
-    for mult in Counter(ctype).values():
-        divisor *= math.factorial(mult)
-    return product, divisor
-
-
-# -- point-count polynomials ----------------------------------------------------
 
 class QPoly:
     """A polynomial in q with rational coefficients: sum coeffs[i] q^i / den.
@@ -640,27 +583,78 @@ def _group_polynomial(n: int, d: int) -> QPoly:
 
 
 @functools.lru_cache(maxsize=None)
+def _gl_binomial(c: int, a: int) -> QPoly:
+    """K(c, a) = |GL_c| / (|GL_a| |GL_(c-a)|): the class size of diag(x I_a, y I_(c-a))."""
+    return _class_size_poly(c, _centralizer_factors([(1, (1,) * a), (1, (1,) * (c - a))]))
+
+
+def _gl_product(x: dict, y: dict, n: int) -> dict:
+    """(x o y)_c = sum_a K(c, a) x_a y_(c-a) for c <= n; x, y map sizes to nonzero terms."""
+    terms = {}
+    for a, xa in x.items():
+        for b, yb in y.items():
+            if a + b <= n:
+                terms.setdefault(a + b, []).append(_gl_binomial(a + b, a) * (xa * yb))
+    return {c: QPoly.sum(t) for c, t in terms.items()}
+
+
+def _sum_support(x, y, n: int) -> tuple[int, set]:
+    """(pairs, support) of x o y for supports x, y: what _gl_product multiplies."""
+    sums = [a + b for a in x for b in y if a + b <= n]
+    return len(sums), set(sums)
+
+
+@functools.lru_cache(maxsize=None)
 def _w_polynomial(n: int, d: int) -> QPoly:
     """#{x in GL_n : x ~ zeta x} for zeta of order d, q = 1 (mod d).
 
-    The sizes of the zeta-fixed invertible classes summed over multisets of
-    (orbit kind (e, s), lam) with sum (d/s) e |lam| = n; an orbit of kind
-    (e, s) gives d/s primary components (e, lam).
+    x ~ zeta x iff the twist permutes x's primary components, that is, iff
+    the d/s irreducibles of degree e in a twist orbit of kind (e, s) all
+    carry one partition lam.  A class whose components split F_q^n into
+    blocks of sizes m_i has size |GL_n| / prod |GL_(m_i)| times the blocks'
+    class sizes in GL_(m_i), so class sizes multiply under x o y.  One orbit
+    of kind (e, s) gives G_(j w) = sum_{lam |- j} (class size of d/s
+    components (e, lam)) at w = (d/s) e, and k of the N orbits of that kind
+    give binom(N, k) G^(o k).  W_n is the size-n entry of the o-product over
+    kinds of sum_k binom(N, k) G^(o k): Green's class-type sum (Trans. AMS
+    80, 1955) grouped by kind.
     """
-    keys = [
-        ((d // s) * e * w, ((e, s), lam))
-        for e, s in _twist_kinds(n, d)
-        for w in range(1, n // ((d // s) * e) + 1)
-        for lam in partitions(w)
-    ]
-    sizes = []
-    for ttype in _multisets(keys, n):
-        product, divisor = _type_multiplicity(
-            ttype, lambda kind: _twist_orbit_count(*kind, d)
-        )
-        data = [(e, lam) for (e, s), lam in ttype for _ in range(d // s)]
-        sizes.append(product / divisor * _class_size_poly(n, _centralizer_factors(data)))
-    return QPoly.sum(sizes)
+    one = _q_power(0)
+    total = {0: one}
+    for e, s in _twist_kinds(n, d):
+        w = (d // s) * e
+        orbits = _twist_orbit_count(e, s, d)
+        one_orbit = {
+            j * w: QPoly.sum(
+                _class_size_poly(j * w, _centralizer_factors([(e, lam)] * (d // s)))
+                for lam in partitions(j)
+            )
+            for j in range(1, n // w + 1)
+        }
+        series, power, binomial = {0: one}, {0: one}, one
+        for k in range(1, n // w + 1):
+            power = _gl_product(power, one_orbit, n)
+            binomial = binomial * (orbits - (k - 1)) / k
+            for c, g in power.items():
+                series[c] = series.get(c, QPoly()) + binomial * g
+        total = _gl_product(total, series, n)
+    return total.get(n, QPoly())
+
+
+def _w_product_pairs(n: int, d: int) -> int:
+    """How many term pairs _w_polynomial(n, d) multiplies: its loops on supports alone."""
+    pairs, total = 0, {0}
+    for e, s in _twist_kinds(n, d):
+        w = (d // s) * e
+        one_orbit = range(w, n + 1, w)
+        series = power = {0}
+        for _ in one_orbit:
+            count, power = _sum_support(power, one_orbit, n)
+            pairs += count
+            series = series | power
+        count, total = _sum_support(total, series, n)
+        pairs += count
+    return pairs
 
 
 def point_count_polynomial(
@@ -679,7 +673,8 @@ def point_count_polynomial(
     counts the components of that dimension.  limits.max_classes bounds the
     work of the sum: p(m) * m for Lie and commuting pairs at m = n and for
     group pairs at m = n/d (partitions of m, each with at most m factors),
-    the number of twist types for W.
+    and S n^4 / 10^5 for W, S the term pairs of its o-products, each a
+    product of polynomials of degree up to n^2.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -695,8 +690,11 @@ def point_count_polynomial(
             return _group_polynomial(n, d)
         return _lie_polynomial(n, p if variety == "lie" else 0)
     if variety == "W":
-        sizes = [(d // s) * e for e, s in _twist_kinds(n, d)]
-        _check_class_limit(_num_multisets(sizes, n), "twist types", n, limits)
+        if n % d:
+            return QPoly()  # x ~ zeta x forces det x = zeta^n det x
+        for m in range(d, n + 1, d):  # stop at the first m past the limit
+            work = _w_product_pairs(m, d) * m**4  # m^4: a product of degree-m^2 terms
+            _check_class_limit(-(-work // 10**5), "W product steps", n, limits)
         return _w_polynomial(n, d)
     raise ValueError("unknown variety %r" % variety)
 

@@ -1,19 +1,77 @@
-"""Reference: the Lie, commuting and group polynomials as sums over class types.
+"""Reference: the Lie, commuting, group and W polynomials as sums over class types.
 
 A type is a sorted multiset of (degree d, partition lam) with
 sum d * |lam| = n: the primary data of a class with each irreducible
 replaced by its degree.  Each type contributes its number of classes, its
 class size and q^dim C solutions B per matrix, and the classes of all types
-must cover q^(n^2) matrices as a polynomial identity.  Group pairs count
-the zeta-fixed invertible classes by their twist types instead.  The
-counters use closed forms; the tests compare the two.
+must cover q^(n^2) matrices as a polynomial identity.  Group pairs and W
+sum over the twist types of the zeta-fixed invertible classes instead:
+multisets of (orbit kind (e, s), lam), one entry per twist orbit.  The
+counters use closed forms and, for W, a product over orbit kinds; the
+tests compare the two.
 """
 
 import functools
+import math
+from collections import Counter
 
 from commvar import census as cs, polyring
 from commvar.errors import MathCheckFailed
 from commvar.census import QPoly
+
+
+def _multisets(keys, n: int):
+    """Sorted multisets of keys whose sizes sum to n; keys are (size, key)."""
+    out = []
+
+    def rec(start, budget, prefix):
+        if budget == 0:
+            out.append(tuple(prefix))
+            return
+        for i in range(start, len(keys)):
+            size, key = keys[i]
+            if size <= budget:
+                rec(i, budget - size, prefix + [key])
+
+    rec(0, n, [])
+    return out
+
+
+def _num_multisets(kind_sizes, n: int) -> int:
+    """How many multisets of (kind, partition lam) have sizes summing to n.
+
+    A kind of size k with partition lam has size k * |lam|.  This is the x^n
+    coefficient of prod_m (1 - x^m)^(-a_m), where a_m counts the pairs of
+    size m, by the Euler transform recurrence; nothing is listed.
+    """
+    p = cs._partition_numbers(n)
+    a = [sum(p[m // k] for k in kind_sizes if m % k == 0) for m in range(n + 1)]
+    c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
+    b = [1]
+    for m in range(1, n + 1):
+        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) // m)
+    return b[n]
+
+
+def _type_multiplicity(ctype, kind_count):
+    """The number of classes of a type, as (falling product, divisor).
+
+    Entries of one kind take distinct objects of that kind (irreducibles of
+    a degree, or twist orbits), so each kind contributes a falling factorial
+    of kind_count(kind), a QPoly; entries that repeat m times are unordered,
+    hence the divisor m!.
+    """
+    product = 1
+    used = Counter()
+    for kind, _ in ctype:
+        count = kind_count(kind)
+        # skipping "- 0" saves a polynomial copy per entry
+        product = product * (count - used[kind] if used[kind] else count)
+        used[kind] += 1
+    divisor = 1
+    for mult in Counter(ctype).values():
+        divisor *= math.factorial(mult)
+    return product, divisor
 
 
 @functools.lru_cache(maxsize=None)
@@ -27,12 +85,12 @@ def class_types(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         for w in range(1, n // d + 1)
         for lam in cs.partitions(w)
     ]
-    return tuple(cs._multisets(keys, n))
+    return tuple(_multisets(keys, n))
 
 
 def num_class_types(n: int) -> int:
     """len(class_types(n)) without listing the types."""
-    return cs._num_multisets(range(1, n + 1), n)
+    return _num_multisets(range(1, n + 1), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,7 +108,7 @@ def _type_terms(n: int) -> list:
     """(type, matrices of that type) for every type; they must cover q^(n^2)."""
     terms = []
     for ctype in class_types(n):
-        product, divisor = cs._type_multiplicity(ctype, irreducible_count_poly)
+        product, divisor = _type_multiplicity(ctype, irreducible_count_poly)
         terms.append(
             (ctype, product * cs._class_size_poly(n, cs._centralizer_factors(ctype)) / divisor)
         )
@@ -74,13 +132,12 @@ def type_sum(n: int, p: int = 0) -> QPoly:
     )
 
 
-def twist_group_sum(n: int, d: int) -> QPoly:
-    """#{(x, y) in GL_n^2 : x^-1 y^-1 x y = zeta I} for zeta of order d.
+def _twist_types(n: int, d: int):
+    """(twist type, its number of classes) for every zeta-fixed invertible type.
 
-    |GL_n| times the number of zeta-fixed invertible classes, counted by
-    twist type: a multiset of (orbit kind (e, s), lam) with
+    A twist type is a multiset of (orbit kind (e, s), lam) with
     sum (d/s) e |lam| = n, where an orbit of kind (e, s) is a mu_d-orbit of
-    d/s irreducibles f != t of degree e.
+    d/s irreducibles f != t of degree e, all carrying the partition lam.
     """
     keys = [
         ((d // s) * e * w, ((e, s), lam))
@@ -88,10 +145,30 @@ def twist_group_sum(n: int, d: int) -> QPoly:
         for w in range(1, n // ((d // s) * e) + 1)
         for lam in cs.partitions(w)
     ]
-    fixed = []
-    for ttype in cs._multisets(keys, n):
-        product, divisor = cs._type_multiplicity(
+    for ttype in _multisets(keys, n):
+        product, divisor = _type_multiplicity(
             ttype, lambda kind: cs._twist_orbit_count(*kind, d)
         )
-        fixed.append(product / divisor)
-    return cs._gl_order_poly(n) * QPoly.sum(fixed)
+        yield ttype, product / divisor
+
+
+def twist_group_sum(n: int, d: int) -> QPoly:
+    """#{(x, y) in GL_n^2 : x^-1 y^-1 x y = zeta I} for zeta of order d.
+
+    |GL_n| times the number of zeta-fixed invertible classes, counted by
+    twist type.
+    """
+    return cs._gl_order_poly(n) * QPoly.sum(classes for _, classes in _twist_types(n, d))
+
+
+def twist_w_sum(n: int, d: int) -> QPoly:
+    """#{x in GL_n : x ~ zeta x} for zeta of order d.
+
+    The sizes of the zeta-fixed invertible classes summed by twist type; an
+    orbit of kind (e, s) with lam gives d/s primary components (e, lam).
+    """
+    sizes = []
+    for ttype, classes in _twist_types(n, d):
+        data = [(e, lam) for (e, s), lam in ttype for _ in range(d // s)]
+        sizes.append(classes * cs._class_size_poly(n, cs._centralizer_factors(data)))
+    return QPoly.sum(sizes)

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -451,9 +452,22 @@ def test_limit_exceeded():
     with pytest.raises(LimitExceeded):
         cs.point_count_polynomial("group", 4, d=2, limits=three)
     # group class counts are bounded by the partition-sum steps at n/d,
-    # p(2) * 2 = 4 here; W class counts by the number of twist types
+    # p(2) * 2 = 4 here; W class counts by the term pairs S of its
+    # products times n^4 / 10^5, 253 * 12^4 / 10^5 -> 53 steps at (12, 2)
     with pytest.raises(LimitExceeded):
         cs.count_group_pairs(4, F5, gf.root_of_unity(F5, 2), "class", three)
+    fifty = cs.CensusLimits(max_classes=50)
+    with pytest.raises(LimitExceeded):
+        cs.count_w(12, F5, gf.root_of_unity(F5, 2), "class", fifty)
+    with pytest.raises(LimitExceeded):
+        cs.point_count_polynomial("W", 12, d=2, limits=fifty)
+    assert cs.point_count_polynomial("W", 10, d=2, limits=fifty).degree == 95
+    # the default limit accepts n <= 42 at d = 2 and refuses n = 44 from the
+    # supports alone, before any polynomial is built
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match="n=44 exceed limit 200000"):
+        cs.point_count_polynomial("W", 44, d=2)
+    assert time.perf_counter() - start < 1.0
     # ... and not by the number of classes, which refuses enumeration at q = 81
     f81 = gf.field(3, 4)
     zeta = gf.root_of_unity(f81, 2)
@@ -697,6 +711,50 @@ def test_group_polynomial_equals_twist_type_sum():
             if n % d == 0:
                 poly = cs.point_count_polynomial("group", n, d=d)
                 assert poly == ts.twist_group_sum(n, d), (n, d)
+
+
+def test_w_polynomial_equals_twist_type_sum():
+    # the product over orbit kinds against the twist-type sum of class sizes
+    for n in range(1, 11):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                poly = cs.point_count_polynomial("W", n, d=d)
+                assert poly == ts.twist_w_sum(n, d), (n, d)
+
+
+def test_w_limit_keeps_twist_type_reach(monkeypatch):
+    # every (n, d) with d <= 6 that the twist-type count (<= 200,000 types)
+    # accepted passes the product gate; the stub stands in for the product,
+    # so only the gate runs
+    monkeypatch.setattr(cs, "_w_polynomial", lambda n, d: cs.QPoly((1,)))
+    for d in range(1, 7):
+        n = d
+        while ts._num_multisets([(d // s) * e for e, s in cs._twist_kinds(n, d)], n) <= 200_000:
+            assert cs.point_count_polynomial("W", n, d=d) == cs.QPoly((1,)), (n, d)
+            n += d
+    # no twist type exists where d does not divide n, at any size
+    assert cs.point_count_polynomial("W", 1001, d=2) == cs.QPoly()
+    # the last accepted and first refused sizes at d = 1, 2, 3
+    for n, d in ((35, 1), (42, 2), (48, 3)):
+        cs.point_count_polynomial("W", n, d=d)
+        with pytest.raises(LimitExceeded):
+            cs.point_count_polynomial("W", n + d, d=d)
+
+
+def test_w_polynomial_exact_without_type_sum():
+    # at d = 1 every x is conjugate to zeta x = x, so W is GL_n
+    for n in range(1, 13):
+        assert cs.point_count_polynomial("W", n, d=1) == cs._gl_order_poly(n), n
+    # dimension n^2 + n/d - n with one top component, and empty for d not
+    # dividing n (det x = zeta^n det x)
+    for n in range(1, 15):
+        for d in range(1, n + 1):
+            poly = cs.point_count_polynomial("W", n, d=d)
+            if n % d:
+                assert poly == cs.QPoly(), (n, d)
+            else:
+                assert poly.degree == n * n + n // d - n, (n, d)
+                assert poly.leading_coefficient == 1, (n, d)
 
 
 def test_group_polynomial_is_gl_order_times_class_number():
