@@ -34,8 +34,9 @@ primary data, and are computed once per type (_type_numbers).  The CLI's
 pair once; its bytes stay exactly those of json.dumps(doc, indent=2).
 
 Counts are unbounded integers end to end; dimension fitting uses Decimal
-logarithms at 50 significant digits.  The counters' threads parameter is
-accepted and ignored: every count runs in the calling thread.
+logarithms at 50 significant digits in a private context, so the caller's
+decimal context is neither read nor changed.  The counters' threads
+parameter is accepted and ignored: every count runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from decimal import Decimal, getcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import polyring
@@ -63,7 +64,8 @@ from .matgf import (
 )
 from .polyring import Poly
 
-getcontext().prec = 50
+# every Decimal operation of the fit runs in this context, never the thread's
+_DEC = Context(prec=50)
 
 # the brute group count refuses |GL_n(q)|^2 above 4x this; verify's
 # lie-trace suite runs the brute Lie count only up to this many pairs
@@ -147,12 +149,9 @@ def centralizer_order_from_primary(data, q: int) -> int:
 
 
 def dim_centralizer_from_primary(data) -> int:
-    """dim of the full matrix centralizer: sum deg(f) * sum conj(lam)_j^2."""
-    total = 0
-    for f, lam in data:
-        deg = f.degree if isinstance(f, Poly) else int(f)
-        total += deg * sum(c * c for c in conjugate_partition(lam))
-    return total
+    """dim of the full matrix centralizer: the degree in q of its order."""
+    power, ks = _centralizer_factors(data)
+    return power + sum(ks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1146,12 +1145,13 @@ def estimate_dimension(points) -> DimensionFit:
         exponent += 1
     if qq != q2 or exponent < 2:
         raise ValueError("the largest q must be a power (>= 2) of the smallest")
-    raw = (Decimal(c2).ln() - Decimal(c1).ln()) / (Decimal(q2).ln() - Decimal(q1).ln())
+    lc1, lc2, lq1, lq2 = (Decimal(x).ln(_DEC) for x in (c1, c2, q1, q2))
+    raw = _DEC.divide(_DEC.subtract(lc2, lc1), _DEC.subtract(lq2, lq1))
     # 30 decimal places: far beyond what the fit needs, and exact power laws
     # come out with residual exactly zero
-    raw = raw.quantize(Decimal("1E-30"))
-    fitted = int(raw.to_integral_value(rounding="ROUND_HALF_EVEN"))
-    residual = abs(raw - Decimal(fitted))
+    raw = raw.quantize(Decimal("1E-30"), context=_DEC)
+    fitted = int(raw.to_integral_value(rounding="ROUND_HALF_EVEN", context=_DEC))
+    residual = _DEC.abs(_DEC.subtract(raw, Decimal(fitted)))
     return DimensionFit(fitted, raw, residual)
 
 
@@ -1205,4 +1205,4 @@ class CountReport:
 
 
 def _dec_str(x: Decimal) -> str:
-    return str(x.quantize(Decimal("1E-20")))
+    return str(x.quantize(Decimal("1E-20"), context=_DEC))

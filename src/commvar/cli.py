@@ -127,7 +127,7 @@ def _cmd_construct(args) -> int:
         a_scalars = _parse_scalars(spec, args.a, args.r)
         b_scalars = _parse_scalars(spec, args.b, args.r)
         a, b = weyl.generic_split_pair(spec, a_scalars, b_scalars)
-        jq = weyl.joint_centralizer_dimension(a, b)
+        jq = matgf.centralizer_dimension(a, b)
         pairs = list(zip(a_scalars, b_scalars))
         generic = len(set((x.idx, y.idx) for x, y in pairs)) == len(pairs)
         doc.update(

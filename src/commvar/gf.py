@@ -345,12 +345,18 @@ class Fe:
         return order
 
     def __str__(self):
-        if self.spec.k == 1:
-            return str(self.idx)
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+        return _fe_text(self.spec, self.idx)
 
     def __repr__(self):
         return "Fe(%r, %s)" % (self.spec, self)
+
+
+@functools.lru_cache(maxsize=None)
+def _fe_text(spec: FieldSpec, idx: int) -> str:
+    """Element text: the index over a prime field, else "[c0,c1,...]"."""
+    if spec.k == 1:
+        return str(idx)
+    return "[" + ",".join(str(c) for c in spec.idx_to_coeffs(idx)) + "]"
 
 
 def field(p: int, k: int = 1) -> FieldSpec:
@@ -427,14 +433,10 @@ def _embedding_root_idx(src: FieldSpec, target: FieldSpec) -> int:
     lifted = polyring.Poly.from_coeffs(
         target, [target.el(c) for c in src.modulus]
     )
-    roots = []
-    for fac, _ in polyring.factor(lifted, seed=0):
-        if fac.degree == 1:
-            # monic t + c has root -c
-            roots.append(target.neg(fac.coeffs[0]))
+    roots = polyring.roots(lifted, seed=0)
     if len(roots) != src.k:
         raise MathCheckFailed("modulus must split in the target field")
-    return min(roots)
+    return roots[0].idx
 
 
 def embed(a: Fe, target: FieldSpec) -> Fe:

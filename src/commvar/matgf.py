@@ -1,10 +1,12 @@
 """Exact dense matrix algebra over a field instance.
 
-Covers commutators (Lie and group), row reduction and linear solving,
-the commutator linear system ad_A, minimal and characteristic polynomials,
-invariant factors via Smith normal form of tI - A over F_q[t] (with the
-row transform tracked so similarity transports are constructive), Jordan
-type over a splitting field, regularity, and regular commuting elements.
+Covers commutators (Lie and group), row reduction and linear solving (one
+RREF per solve), the commutator linear system ad_A, the similarity
+invariants read off one Smith normal form of tI - A over F_q[t] (invariant
+factors; the minimal polynomial is the last, regularity means there is just
+one), with the row transform tracked so similarity transports are
+constructive, Jordan type over a splitting field, and regular commuting
+elements.
 
 Matrix text format: rows separated by ';', entries by ',', entries in
 element text form, e.g. "0,0;1,0".
@@ -366,11 +368,9 @@ def rank(m: Mat) -> int:
     return _echelon_rows(m.spec, [list(r) for r in m.rows])[1]
 
 
-def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
-    """Basis of the right kernel as packed index vectors (deterministic)."""
-    spec = m.spec
-    rows, _, pivots = _rref_rows(spec, [list(r) for r in m.rows])
-    n_cols = m.n_cols
+def _kernel_from_rref(spec: FieldSpec, rows, pivots, n_cols: int):
+    """Right-kernel basis of the first n_cols columns of an RREF, one vector
+    per free column in column order."""
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
@@ -384,11 +384,18 @@ def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
     return basis
 
 
+def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
+    """Basis of the right kernel as packed index vectors (deterministic)."""
+    rows, _, pivots = _rref_rows(m.spec, [list(r) for r in m.rows])
+    return _kernel_from_rref(m.spec, rows, pivots, m.n_cols)
+
+
 def solve_affine(m: Mat, b):
     """Full solution set of m x = b.
 
     Returns None when inconsistent, else (particular, kernel_basis) with
-    packed index vectors.
+    packed index vectors, both read off one RREF of the augmented matrix
+    [m | b]: its first n columns are the RREF of m.
     """
     spec = m.spec
     b = [spec.el(x).idx if not isinstance(x, int) else x for x in b]
@@ -402,7 +409,7 @@ def solve_affine(m: Mat, b):
     particular = [0] * n_cols
     for r, pc in enumerate(pivots):
         particular[pc] = rows[r][n_cols]
-    return tuple(particular), kernel_basis(m)
+    return tuple(particular), _kernel_from_rref(spec, rows, pivots, n_cols)
 
 
 # -- the commutator linear system --------------------------------------------
@@ -481,59 +488,12 @@ def commutator_solutions(a: Mat, c: Mat):
     )
 
 
-def centralizer_dimension(a: Mat) -> int:
-    """dim of {Z : AZ = ZA} as a vector space."""
-    return a.n_rows**2 - rank(ad_matrix(a))
-
-
-# -- minimal polynomial -------------------------------------------------------
-
-def min_poly(a: Mat) -> Poly:
-    """Monic minimal polynomial via per-vector annihilators (Krylov chains)."""
-    if not a.is_square:
-        raise ValueError("minimal polynomial of a non-square matrix")
-    spec = a.spec
-    n = a.n_rows
-    m = Poly.one(spec)
-    for start in range(n):
-        if m.degree == n:
-            break
-        v = tuple(spec.one_idx if i == start else 0 for i in range(n))
-        ann = _vector_annihilator(spec, a, v)
-        g = polyring.gcd(m, ann)
-        m = (m * ann) // g
-    return m.monic()
-
-
-def _vector_annihilator(spec: FieldSpec, a: Mat, v) -> Poly:
-    """Smallest monic g with g(A) v = 0."""
-    n = a.n_rows
-    sub, mul, inv = spec.sub, spec.mul, spec.inv
-    # echelon rows paired with their expression over the Krylov vectors
-    ech: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, rep)
-    cur = list(v)
-    j = 0
-    while True:
-        rep = [0] * (j + 1)
-        rep[j] = spec.one_idx
-        w = list(cur)
-        for pivot, evec, erep in ech:
-            f = w[pivot]
-            if f:
-                w = [sub(x, mul(f, y)) for x, y in zip(w, evec)]
-                for idx, rc in enumerate(erep):
-                    if rc:
-                        rep[idx] = sub(rep[idx], mul(f, rc))
-        piv = next((i for i in range(n) if w[i]), None)
-        if piv is None:
-            # 0 = sum_i rep[i] A^i v with rep[j] = 1: rep is the annihilator
-            return Poly(spec, pnormalize(rep))
-        iv = inv(w[piv])
-        w = [mul(iv, x) for x in w]
-        rep = [mul(iv, x) for x in rep]
-        ech.append((piv, w, rep))
-        cur = list(a.apply(cur))
-        j += 1
+def centralizer_dimension(a: Mat, *others: Mat) -> int:
+    """dim of {Z : MZ = ZM for a and every M in others}: n^2 minus the rank
+    of the stacked ad matrices."""
+    if any((m.spec, m.n_rows) != (a.spec, a.n_rows) for m in others):
+        raise ValueError("mismatched fields or shapes")
+    return a.n_rows**2 - rank(Mat(a.spec, [r for m in (a, *others) for r in ad_matrix(m).rows]))
 
 
 # -- Smith normal form over F_q[t], invariant factors, transports -------------
@@ -694,6 +654,11 @@ def invariant_factors(a: Mat) -> InvariantFactors:
     return InvariantFactors(tuple(facs))
 
 
+def min_poly(a: Mat) -> Poly:
+    """Monic minimal polynomial: the last invariant factor of tI - A."""
+    return invariant_factors(a).minimal
+
+
 def char_poly(a: Mat) -> Poly:
     """Characteristic polynomial as the product of the invariant factors."""
     out = Poly.one(a.spec)
@@ -815,7 +780,6 @@ def poly_at_matrix(f: Poly, a: Mat) -> Mat:
 def splitting_field(a: Mat, seed: int = 0, max_degree: int = MAX_SPLITTING_DEGREE):
     """The splitting field of char(A) and the irreducible factor data."""
     spec = a.spec
-    inf = invariant_factors(a)
     data = primary_data(a, seed)
     m = 1
     for f, _ in data:
@@ -825,7 +789,7 @@ def splitting_field(a: Mat, seed: int = 0, max_degree: int = MAX_SPLITTING_DEGRE
             "splitting field degree %d exceeds limit %d" % (spec.k * m, max_degree)
         )
     ext = field(spec.p, spec.k * m)
-    return ext, data, inf
+    return ext, data
 
 
 def jordan_type(a: Mat, seed: int = 0) -> JordanType:
@@ -838,7 +802,7 @@ def jordan_type(a: Mat, seed: int = 0) -> JordanType:
     """
     if not a.is_square:
         raise ValueError("jordan type of a non-square matrix")
-    ext, data, _ = splitting_field(a, seed)
+    ext, data = splitting_field(a, seed)
     entries = []
     for f, parts in data:
         lifted = Poly.from_coeffs(
@@ -855,7 +819,7 @@ def jordan_transform(a: Mat, seed: int = 0):
 
     blocks is the list of (eigenvalue, size) in the order they appear in J.
     """
-    ext, _, _ = splitting_field(a, seed)
+    ext, _ = splitting_field(a, seed)
     a_e = embed_mat(a, ext) if ext != a.spec else a
     gens, factors = _rcf_generators(a_e)
     cols = []
@@ -903,14 +867,13 @@ def _jordan_matrix(spec: FieldSpec, blocks) -> Mat:
 # -- regularity ----------------------------------------------------------------
 
 def is_regular(a: Mat) -> bool:
-    """True iff the minimal polynomial has degree n.
+    """True iff tI - A has exactly one invariant factor, that is, the
+    minimal polynomial has degree n.
 
     Equivalently the centralizer has dimension n; the equivalence is
     exercised by the verification suites.
     """
-    if not a.is_square:
-        raise ValueError("regularity of a non-square matrix")
-    return min_poly(a).degree == a.n_rows
+    return len(invariant_factors(a).factors) == 1
 
 
 def regular_commuting(a: Mat, seed: int = 0) -> Mat:

@@ -17,7 +17,7 @@ import itertools
 import random
 
 from .errors import LimitExceeded
-from .gf import Fe, FieldSpec, _prime_divisors
+from .gf import Fe, FieldSpec, _fe_text, _prime_divisors
 
 DEFAULT_ENUM_LIMIT = 1 << 22
 
@@ -259,7 +259,7 @@ class Poly:
             c = self.coeffs[i]
             if c == 0:
                 continue
-            ctext = str(Fe(spec, c))
+            ctext = _fe_text(spec, c)
             if i == 0:
                 terms.append(ctext)
             else:

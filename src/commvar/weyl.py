@@ -20,7 +20,6 @@ from .gf import Fe, FieldSpec, _is_prime
 from .matgf import (
     AffineMatSpace,
     Mat,
-    ad_matrix,
     block_diag,
     commutator_solutions,
     is_regular,
@@ -290,12 +289,6 @@ def generic_split_pair(spec: FieldSpec, a_scalars, b_scalars) -> tuple[Mat, Mat]
     if lie_commutator(a, b) != Mat.identity(spec, a.n_rows):
         raise MathCheckFailed("construction violates [A,B] = I")
     return a, b
-
-
-def joint_centralizer_dimension(a: Mat, b: Mat) -> int:
-    """dim {Z : ZA = AZ and ZB = BZ} as a vector space."""
-    stacked = Mat(a.spec, ad_matrix(a).rows + ad_matrix(b).rows)
-    return a.n_rows**2 - rank(stacked)
 
 
 @dataclass(frozen=True)

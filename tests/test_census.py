@@ -1,7 +1,9 @@
+import decimal
 import itertools
 import os
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -502,6 +504,33 @@ def test_estimate_dimension():
         cs.estimate_dimension([(2, 10), (3, 20)])  # 3 is not a power of 2
     with pytest.raises(ValueError):
         cs.estimate_dimension([(2, 0), (4, 5)])
+
+
+def test_estimate_dimension_ignores_the_callers_decimal_context():
+    # quantizing to 30 places needs more than the default 28 digits, so the
+    # fit must not run in the calling thread's context
+    points = [(2, 24), (4, 960)]
+    expect = cs.estimate_dimension(points)
+    got = []
+    worker = threading.Thread(target=lambda: got.append(cs.estimate_dimension(points)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and got == [expect]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        assert cs.estimate_dimension(points) == expect
+        assert ctx.prec == 28
+
+
+def test_import_leaves_the_decimal_context_alone():
+    src = str(Path(cs.__file__).resolve().parents[1])
+    code = "import decimal, commvar\nprint(decimal.getcontext().prec)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "28\n"
 
 
 def test_consistency_forces_block_divisibility():

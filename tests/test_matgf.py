@@ -134,6 +134,7 @@ def test_solve_affine_random_consistency():
         assert a.apply(sol[0]) == b
         for v in sol[1]:
             assert a.apply(v) == (0,) * 3
+        assert sol[1] == mg.kernel_basis(a)  # same basis, same order
 
 
 def test_commutator_solutions_examples():
@@ -145,6 +146,17 @@ def test_commutator_solutions_examples():
     # kernel dimension equals the centralizer dimension at C = 0
     sol = mg.commutator_solutions(j, mg.Mat.zeros(F3, 2, 2))
     assert sol is not None and sol.dim == mg.centralizer_dimension(j) == 2
+
+
+def test_joint_centralizer_dimension():
+    j = mg.Mat.from_rows(F3, [[0, 1], [0, 0]])
+    assert mg.centralizer_dimension(j, j) == mg.centralizer_dimension(j) == 2
+    # only the scalars commute with both j and its transpose
+    assert mg.centralizer_dimension(j, j.transpose()) == 1
+    with pytest.raises(ValueError):
+        mg.centralizer_dimension(j, mg.Mat.identity(F3, 3))
+    with pytest.raises(ValueError):
+        mg.centralizer_dimension(j, mg.Mat.identity(F5, 2))
 
 
 def test_ad_matrix_two_sided():
@@ -185,8 +197,41 @@ def test_invariant_factor_chain_and_charpoly():
         for f, g in zip(inf.factors, inf.factors[1:]):
             assert divmod(g, f)[1].is_zero  # divisibility chain
         assert mg.char_poly(a) == charpoly_leibniz(a)
-        assert divmod(mg.char_poly(a), mg.min_poly(a))[1].is_zero
-        assert mg.min_poly(a) == inf.minimal
+        m = mg.min_poly(a)
+        assert divmod(mg.char_poly(a), m)[1].is_zero
+        # the defining property: m annihilates A and no proper divisor does
+        assert mg.poly_at_matrix(m, a).is_zero
+        for f, _ in pr.factor(m):
+            assert not mg.poly_at_matrix(m // f, a).is_zero
+
+
+def test_one_snf_per_similarity_question_and_one_rref_per_solve(monkeypatch):
+    calls = {"snf": 0, "rref": 0}
+    snf, rref_rows = mg._snf_diag, mg._rref_rows
+
+    def counted_snf(*args, **kwargs):
+        calls["snf"] += 1
+        return snf(*args, **kwargs)
+
+    def counted_rref(*args, **kwargs):
+        calls["rref"] += 1
+        return rref_rows(*args, **kwargs)
+
+    monkeypatch.setattr(mg, "_snf_diag", counted_snf)
+    monkeypatch.setattr(mg, "_rref_rows", counted_rref)
+    rng = random.Random(12)
+    for spec in (F2, F3, F4):
+        for _ in range(5):
+            a = random_mat(spec, 3, rng)
+            for question in (mg.jordan_type, mg.splitting_field):
+                calls["snf"] = 0
+                question(a)
+                assert calls["snf"] == 1, question.__name__
+            x = tuple(rng.randrange(spec.q) for _ in range(3))
+            for b in (a.apply(x), (1, 0, 0)):
+                calls["rref"] = 0
+                mg.solve_affine(a, b)
+                assert calls["rref"] == 1
 
 
 def test_similarity_classifier_exhaustive_2x2():
