@@ -1,10 +1,12 @@
 """Point counting over F_q for commutator varieties.
 
 Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
-the twisted-class locus {x : x conjugate to zeta x}, by two strategies:
+the twisted-class locus {x : x conjugate to zeta x}, by two strategies
+that the four counters reach through one dispatch (_count):
 
-* brute: enumeration, one path per count, of one matrix per scalar orbit
-  times the orbit size.  ad_{A + lam I} = ad_A, so for Lie and commuting
+* brute: one scan per count behind one gate, q^(n^2) <= limits.max_brute
+  (the group scan also caps its |GL_n|^2 pairs), of one matrix per scalar
+  orbit times the orbit size.  ad_{A + lam I} = ad_A, so for Lie and commuting
   pairs A runs through M_n(F_q) mod F_q I (orbits of size q) in blocks of
   p^s matrices, one per SWAR lane: each int holds one F_p-digit of one ad
   image for the whole block.  A -> ad_A is linear, so the first s
@@ -706,15 +708,6 @@ def _value_at(poly: QPoly, q: int) -> int:
     return value
 
 
-def _twist_count(variety: str, n: int, spec: FieldSpec, zeta: Fe, limits) -> int:
-    """The group or W count from the point-count polynomial of zeta's order d.
-
-    zeta of order d exists only for q = 1 (mod d), where that polynomial holds.
-    """
-    d = zeta.multiplicative_order()
-    return _value_at(point_count_polynomial(variety, n, d=d, limits=limits), spec.q)
-
-
 # -- packed F_p-digit matrices and the brute Lie scan -----------------------------
 
 def _repeat(x: int, span: int, count: int) -> int:
@@ -994,6 +987,49 @@ def _scalar_orbit_reps(spec: FieldSpec, n: int):
         yield from _all_matrices(spec, n, (0,) * lead + (spec.one_idx,))
 
 
+def _count(variety: str, n: int, spec: FieldSpec, strategy: str, limits, scan, p=0, d=1) -> int:
+    """The counters' one dispatch.  class: variety's point-count polynomial
+    (characteristic p, zeta of order d, so q = 1 mod d) at q; brute: scan(),
+    once the q^(n^2) matrices fit in limits.max_brute."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if strategy == "class":
+        return _value_at(point_count_polynomial(variety, n, p, d, limits), spec.q)
+    if strategy != "brute":
+        raise ValueError("unknown strategy %r" % strategy)
+    matrices = spec.q ** (n * n)
+    if matrices > limits.max_brute:
+        raise LimitExceeded(
+            "brute scan of %d matrices exceeds limit %d" % (matrices, limits.max_brute)
+        )
+    return scan()
+
+
+def _lie_scan(n: int, spec: FieldSpec, c: Fe) -> int:
+    """#{AB - BA = cI} by brute scan: A walks M_n(F_q) mod F_q I, and each A
+    solves ad_A(B) = cI exactly, with q^(n^2 - rank) solutions or none for
+    each of the q matrices of its coset."""
+    q, nn = spec.q, n * n
+    packing = _packing(spec, n)
+    _, consistent = _ad_rank_histogram(packing, packing.scalar(c.idx))
+    return q * sum(count * q ** (nn - rank) for rank, count in enumerate(consistent))
+
+
+def _unit_orbit_sum(spec: FieldSpec, n: int, solutions) -> int:
+    """The brute group or W count: (q - 1) times the sum of solutions(x)
+    over one invertible x per orbit of F_q^x, on which both counts are
+    constant."""
+    invertibles = filter(Mat.is_invertible, _scalar_orbit_reps(spec, n))
+    return (spec.q - 1) * sum(map(solutions, invertibles))
+
+
+def _unit(spec: FieldSpec, zeta) -> Fe:
+    zeta = spec.el(zeta)
+    if not zeta:
+        raise ValueError("zeta must be a unit")
+    return zeta
+
+
 def count_lie_pairs(
     n: int,
     spec: FieldSpec,
@@ -1003,33 +1039,9 @@ def count_lie_pairs(
     threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB - BA = cI}."""
-    return _count_lie(n, spec, spec.el(c), strategy, limits)
-
-
-def _count_lie(n: int, spec: FieldSpec, c: Fe, strategy: str, limits: CensusLimits) -> int:
-    if n < 1:
-        raise ValueError("n must be positive")
-    if strategy == "class":
-        variety = "lie" if c else "commuting"
-        return _value_at(point_count_polynomial(variety, n, spec.p, limits=limits), spec.q)
-    if strategy == "brute":
-        return _count_lie_brute(n, spec, c, limits)
-    raise ValueError("unknown strategy %r" % strategy)
-
-
-def _count_lie_brute(n, spec, c, limits) -> int:
-    q = spec.q
-    nn = n * n
-    if q**nn > limits.max_brute:
-        raise LimitExceeded(
-            "brute scan of %d matrices exceeds limit %d" % (q**nn, limits.max_brute)
-        )
-    # A walks M_n(F_q) mod F_q I in blocks of one A per lane, and each A
-    # solves ad_A(B) = cI exactly: q^(n^2 - rank) solutions or none, for each
-    # of the q matrices of its coset
-    packing = _packing(spec, n)
-    _, consistent = _ad_rank_histogram(packing, packing.scalar(c.idx))
-    return q * sum(count * q ** (nn - rank) for rank, count in enumerate(consistent))
+    c = spec.el(c)
+    scan = functools.partial(_lie_scan, n, spec, c)
+    return _count("lie" if c else "commuting", n, spec, strategy, limits, scan, p=spec.p)
 
 
 def count_commuting_pairs(
@@ -1040,7 +1052,8 @@ def count_commuting_pairs(
     threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB = BA}; the c = 0 commutator count."""
-    return _count_lie(n, spec, spec.zero, strategy, limits)
+    scan = functools.partial(_lie_scan, n, spec, spec.zero)
+    return _count("commuting", n, spec, strategy, limits, scan)
 
 
 def count_group_pairs(
@@ -1051,28 +1064,15 @@ def count_group_pairs(
     limits: CensusLimits = DEFAULT_LIMITS,
     threads: int = 1,
 ) -> int:
-    """#{(x, y) in GL_n(F_q)^2 : x^-1 y^-1 x y = zeta I}.
+    """#{(x, y) in GL_n(F_q)^2 : x^-1 y^-1 x y = zeta I}."""
+    zeta = _unit(spec, zeta)
 
-    Class strategy: |GL_n(q)| times the number of invertible classes fixed
-    by the zeta-twist, which is the class number of GL_{n/d}, d the order
-    of zeta (_group_polynomial).
-    """
-    zeta = spec.el(zeta)
-    if not zeta:
-        raise ValueError("zeta must be a unit")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if strategy == "class":
-        return _twist_count("group", n, spec, zeta, limits)
-    if strategy != "brute":
-        raise ValueError("unknown strategy %r" % strategy)
-    q = spec.q
-    nn = n * n
-    pairs = gl_order(n, q) ** 2
-    if q**nn > limits.max_brute or pairs > min(PAIR_SCAN_MAX * 4, limits.max_brute):
-        raise LimitExceeded("group brute scan exceeds the configured limit")
-    invertibles = filter(Mat.is_invertible, _scalar_orbit_reps(spec, n))
-    return (q - 1) * sum(_group_solutions(x, zeta) for x in invertibles)
+    def scan() -> int:
+        if gl_order(n, spec.q) ** 2 > min(PAIR_SCAN_MAX * 4, limits.max_brute):
+            raise LimitExceeded("group brute scan exceeds the configured limit")
+        return _unit_orbit_sum(spec, n, functools.partial(_group_solutions, zeta=zeta))
+
+    return _count("group", n, spec, strategy, limits, scan, d=zeta.multiplicative_order())
 
 
 def _group_solutions(x: Mat, zeta: Fe) -> int:
@@ -1102,19 +1102,9 @@ def count_w(
     threads: int = 1,
 ) -> int:
     """#{x in GL_n(F_q) : x is conjugate to zeta x}."""
-    zeta = spec.el(zeta)
-    if not zeta:
-        raise ValueError("zeta must be a unit")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if strategy == "class":
-        return _twist_count("W", n, spec, zeta, limits)
-    if strategy != "brute":
-        raise ValueError("unknown strategy %r" % strategy)
-    if spec.q ** (n * n) > limits.max_brute:
-        raise LimitExceeded("brute scan exceeds the configured limit")
-    reps = _scalar_orbit_reps(spec, n)
-    return (spec.q - 1) * sum(x.is_invertible() and _twist_fixed(x, zeta) for x in reps)
+    zeta = _unit(spec, zeta)
+    scan = functools.partial(_unit_orbit_sum, spec, n, functools.partial(_twist_fixed, zeta=zeta))
+    return _count("W", n, spec, strategy, limits, scan, d=zeta.multiplicative_order())
 
 
 # -- dimension estimation --------------------------------------------------------

@@ -96,7 +96,7 @@ def _cmd_construct(args) -> int:
         scalars = _parse_scalars(spec, args.scalars, args.r)
         pair = weyl.build_block_pair(spec, args.r, scalars)
         inf = matgf.invariant_factors(pair.x)
-        regular = matgf.is_regular(pair.x)
+        regular = len(inf.factors) == 1  # matgf.is_regular, off the same SNF
         doc.update(
             {
                 "field": _field_doc(spec),
@@ -122,7 +122,7 @@ def _cmd_construct(args) -> int:
                 "xp_nonzero": rec.xp_nonzero,
             }
             ok = ok and rec.ok
-        ok = ok and regular and len(inf.factors) == 1
+        ok = ok and regular
     elif args.target == "splitpair":
         a_scalars = _parse_scalars(spec, args.a, args.r)
         b_scalars = _parse_scalars(spec, args.b, args.r)

@@ -433,7 +433,7 @@ def _embedding_root_idx(src: FieldSpec, target: FieldSpec) -> int:
     lifted = polyring.Poly.from_coeffs(
         target, [target.el(c) for c in src.modulus]
     )
-    roots = polyring.roots(lifted, seed=0)
+    roots = polyring.roots(lifted)
     if len(roots) != src.k:
         raise MathCheckFailed("modulus must split in the target field")
     return roots[0].idx

@@ -520,6 +520,8 @@ class InvariantFactors:
 
 def _char_matrix(a: Mat):
     """tI - A as a polynomial matrix (entries are coefficient tuples)."""
+    if not a.is_square:
+        raise ValueError("invariant factors of a non-square matrix")
     spec = a.spec
     n = a.n_rows
     neg, one = spec.neg, spec.one_idx
@@ -645,8 +647,6 @@ def _snf_finish(spec: FieldSpec, m, uinv, filled: int):
 
 def invariant_factors(a: Mat) -> InvariantFactors:
     """Invariant factors of A from the SNF of tI - A; similarity invariant."""
-    if not a.is_square:
-        raise ValueError("invariant factors of a non-square matrix")
     diag, _ = _snf_diag(a.spec, _char_matrix(a), track=False)
     facs = [Poly(a.spec, e) for e in diag if len(e) > 1]
     if not facs:
@@ -719,7 +719,7 @@ def similarity_transform(a: Mat, b: Mat):
     return pa @ pb.inverse()
 
 
-def primary_data(a: Mat, seed: int = 0):
+def primary_data(a: Mat):
     """Primary decomposition data: sorted tuple of (irreducible, partition).
 
     The partition entries are the multiplicities of the irreducible in the
@@ -728,7 +728,7 @@ def primary_data(a: Mat, seed: int = 0):
     inf = invariant_factors(a)
     spec = a.spec
     out = []
-    for f, _ in polyring.factor(inf.minimal, seed):
+    for f, _ in polyring.factor(inf.minimal):
         parts = []
         for d in inf.factors:
             mult = 0
@@ -777,22 +777,23 @@ def poly_at_matrix(f: Poly, a: Mat) -> Mat:
     return out
 
 
-def splitting_field(a: Mat, seed: int = 0, max_degree: int = MAX_SPLITTING_DEGREE):
-    """The splitting field of char(A) and the irreducible factor data."""
-    spec = a.spec
-    data = primary_data(a, seed)
-    m = 1
-    for f, _ in data:
-        m = math.lcm(m, f.degree)
-    if spec.k * m > max_degree:
+def _splitting_extension(spec: FieldSpec, irreducibles) -> FieldSpec:
+    """The smallest extension of spec in which every given irreducible splits."""
+    k = spec.k * math.lcm(1, *(f.degree for f in irreducibles))
+    if k > MAX_SPLITTING_DEGREE:
         raise LimitExceeded(
-            "splitting field degree %d exceeds limit %d" % (spec.k * m, max_degree)
+            "splitting field degree %d exceeds limit %d" % (k, MAX_SPLITTING_DEGREE)
         )
-    ext = field(spec.p, spec.k * m)
-    return ext, data
+    return field(spec.p, k)
 
 
-def jordan_type(a: Mat, seed: int = 0) -> JordanType:
+def splitting_field(a: Mat):
+    """The splitting field of char(A) and the irreducible factor data."""
+    data = primary_data(a)
+    return _splitting_extension(a.spec, [f for f, _ in data]), data
+
+
+def jordan_type(a: Mat) -> JordanType:
     """Jordan type over the splitting field of the characteristic polynomial.
 
     Per eigenvalue, the block-size partition counts blocks of size >= j as
@@ -800,32 +801,35 @@ def jordan_type(a: Mat, seed: int = 0) -> JordanType:
     multiplicities of the eigenvalue's irreducible in the invariant factors,
     which give the same partition.
     """
-    if not a.is_square:
-        raise ValueError("jordan type of a non-square matrix")
-    ext, data = splitting_field(a, seed)
+    ext, data = splitting_field(a)
     entries = []
     for f, parts in data:
         lifted = Poly.from_coeffs(
             ext, [embed(Fe(a.spec, c), ext) for c in f.coeffs]
         )
-        for root in polyring.roots(lifted, seed):
+        for root in polyring.roots(lifted):
             entries.append((root, parts))
     entries.sort(key=lambda e: e[0].idx)
     return JordanType(ext, tuple(entries))
 
 
-def jordan_transform(a: Mat, seed: int = 0):
+def jordan_transform(a: Mat):
     """(P, J, blocks, ext): P^-1 (A over ext) P = J in upper Jordan form.
 
     blocks is the list of (eigenvalue, size) in the order they appear in J.
+    The cyclic generators come from one tracked SNF over A's own field: the
+    embedding into ext is a ring map, so the SNF over ext is its image.
     """
-    ext, _ = splitting_field(a, seed)
-    a_e = embed_mat(a, ext) if ext != a.spec else a
-    gens, factors = _rcf_generators(a_e)
+    gens, factors = _rcf_generators(a)
+    ext = _splitting_extension(a.spec, [f for f, _ in polyring.factor(factors[-1])])
+    lift = [embed(x, ext).idx for x in a.spec.elements()]
+    a_e = embed_mat(a, ext)
+    gens = [tuple(lift[x] for x in g) for g in gens]
+    factors = [Poly(ext, [lift[c] for c in f.coeffs]) for f in factors]
     cols = []
     blocks = []
     for g, d in zip(gens, factors):
-        for lam, mult in _linear_factorization(d, seed):
+        for lam, mult in _linear_factorization(d):
             cof = d // (Poly.from_coeffs(ext, [-lam, ext.one]) ** mult)
             h = poly_at_matrix(cof, a_e).apply(g)
             shift = a_e - Mat.scalar(ext, a_e.n_rows, lam)
@@ -839,10 +843,10 @@ def jordan_transform(a: Mat, seed: int = 0):
     return p, j, blocks, ext
 
 
-def _linear_factorization(d: Poly, seed: int):
+def _linear_factorization(d: Poly):
     """Factor a polynomial that splits into linear factors; sorted by root."""
     out = []
-    for g, m in polyring.factor(d, seed):
+    for g, m in polyring.factor(d):
         if g.degree != 1:
             raise MathCheckFailed("polynomial does not split over its field")
         out.append((Fe(d.spec, d.spec.neg(g.coeffs[0])), m))
@@ -876,7 +880,7 @@ def is_regular(a: Mat) -> bool:
     return len(invariant_factors(a).factors) == 1
 
 
-def regular_commuting(a: Mat, seed: int = 0) -> Mat:
+def regular_commuting(a: Mat) -> Mat:
     """A regular matrix commuting with A.
 
     Construction: bring A to Jordan form over the splitting field, replace
@@ -884,7 +888,7 @@ def regular_commuting(a: Mat, seed: int = 0) -> Mat:
     distinct shifts mu, and conjugate back.  The field is extended further
     (transparently) when it has fewer elements than there are blocks.
     """
-    p, j, blocks, ext = jordan_transform(a, seed)
+    p, j, blocks, ext = jordan_transform(a)
     if ext.q < len(blocks):
         # need at least one distinct shift per block
         grow = 2
@@ -892,7 +896,7 @@ def regular_commuting(a: Mat, seed: int = 0) -> Mat:
             grow += 1
         bigger = field(ext.p, ext.k * grow)
         a2 = embed_mat(a, bigger)
-        return regular_commuting(a2, seed)
+        return regular_commuting(a2)
     shifted = []
     for mu_idx, (lam, m) in enumerate(blocks):
         mu = Fe(ext, mu_idx)

@@ -3,7 +3,7 @@
 Polynomials are dense coefficient tuples (packed element indices, constant
 term first, no trailing zeros).  Provides exact arithmetic, gcd,
 irreducibility testing (distinct-degree sieve), full factorization
-(squarefree split + distinct-degree + seeded equal-degree splitting), and
+(squarefree split + distinct-degree + equal-degree splitting), and
 enumeration of the monic irreducibles of a given degree by a sieve that
 strikes out products of lower-degree irreducibles.
 
@@ -329,8 +329,9 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
-def _mix_seed(seed: int, coeffs) -> int:
-    h = 0xCBF29CE484222325 ^ (seed & 0xFFFFFFFFFFFFFFFF)
+def _mix_seed(coeffs) -> int:
+    """The equal-degree split's random seed: an FNV-1a hash of coeffs."""
+    h = 0xCBF29CE484222325
     for c in coeffs:
         h = ((h ^ (c + 1)) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
@@ -369,12 +370,12 @@ def _ddf(spec: FieldSpec, f):
     return out
 
 
-def _edf(spec: FieldSpec, f, d: int, seed: int):
+def _edf(spec: FieldSpec, f, d: int):
     """Split a product of degree-d irreducibles into its factors."""
     if len(f) - 1 == d:
         return [f]
     q = spec.q
-    rng = random.Random(_mix_seed(seed, f))
+    rng = random.Random(_mix_seed(f))
     out = []
     while True:
         r = pnormalize([rng.randrange(q) for _ in range(len(f) - 1)])
@@ -392,17 +393,18 @@ def _edf(spec: FieldSpec, f, d: int, seed: int):
             s = ppowmod(spec, r, (q**d - 1) // 2, f)
             split = pgcd(spec, psub(spec, s, (spec.one_idx,)), f)
         if 1 <= len(split) - 1 < len(f) - 1:
-            out.extend(_edf(spec, split, d, seed))
-            out.extend(_edf(spec, pdivmod(spec, f, split)[0], d, seed))
+            out.extend(_edf(spec, split, d))
+            out.extend(_edf(spec, pdivmod(spec, f, split)[0], d))
             return out
 
 
-def factor(f: Poly, seed: int = 0):
+def factor(f: Poly):
     """Full factorization into monic irreducibles.
 
     Returns a sorted tuple of (factor, multiplicity); the product of
     factor^multiplicity times the leading coefficient reassembles f.
-    Deterministic for a given (f, seed).
+    Factorization into monic irreducibles is unique, so the result depends
+    on f alone; the equal-degree split seeds its random draws from f.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -418,7 +420,7 @@ def factor(f: Poly, seed: int = 0):
             continue
         rad = pdivmod(spec, work, pgcd(spec, work, deriv))[0]
         for part, d in _ddf(spec, rad):
-            for g in _edf(spec, part, d, seed):
+            for g in _edf(spec, part, d):
                 mult = 0
                 while True:
                     quo, rem = pdivmod(spec, work, g)
@@ -432,10 +434,10 @@ def factor(f: Poly, seed: int = 0):
     return tuple(out)
 
 
-def roots(f: Poly, seed: int = 0) -> list[Fe]:
+def roots(f: Poly) -> list[Fe]:
     """Roots of f in its own field, sorted in canonical order."""
     out = []
-    for g, _ in factor(f, seed):
+    for g, _ in factor(f):
         if g.degree == 1:
             out.append(Fe(f.spec, f.spec.neg(g.coeffs[0])))
     out.sort(key=lambda a: a.idx)

@@ -176,6 +176,43 @@ def test_counters_reject_nonpositive_n(n, strategy):
             count()
 
 
+# (counter, variety, p, d) over F_3, each called as counter(n, zeta, strategy, limits)
+COUNTERS = [
+    (lambda n, z, s, lim: cs.count_lie_pairs(n, F3, 1, s, lim), "lie", 3, 1),
+    (lambda n, z, s, lim: cs.count_commuting_pairs(n, F3, s, lim), "commuting", 0, 1),
+    (lambda n, z, s, lim: cs.count_group_pairs(n, F3, z, s, lim), "group", 0, 2),
+    (lambda n, z, s, lim: cs.count_w(n, F3, z, s, lim), "W", 0, 2),
+]
+
+
+@pytest.mark.parametrize("count, variety, p, d", COUNTERS, ids=[c[1] for c in COUNTERS])
+def test_counter_contract(count, variety, p, d):
+    zeta = gf.root_of_unity(F3, 2)
+    limits = cs.DEFAULT_LIMITS
+    for n in (1, 2, 3):
+        poly = cs.point_count_polynomial(variety, n, p, d)
+        assert count(n, zeta, "class", limits) == poly(3), n
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        count(2, zeta, "nope", limits)
+    with pytest.raises(ValueError, match="n must be positive"):
+        count(0, zeta, "class", limits)
+    if variety in ("group", "W"):
+        with pytest.raises(ValueError, match="zeta must be a unit"):
+            count(2, F3.zero, "class", limits)
+    # one gate for every brute scan: q^(n^2) = 3^4 = 81 matrices at n = 2
+    with pytest.raises(LimitExceeded, match="brute scan of 81 matrices exceeds limit 80"):
+        count(2, zeta, "brute", cs.CensusLimits(max_brute=80))
+    accepted = 81
+    if variety == "group":
+        # the group scan's own cap on |GL_2(3)|^2 = 48^2 pairs
+        assert cs.gl_order(2, 3) ** 2 == 2304
+        with pytest.raises(LimitExceeded, match="group brute scan exceeds"):
+            count(2, zeta, "brute", cs.CensusLimits(max_brute=2303))
+        accepted = 2304
+    brute = count(2, zeta, "brute", cs.CensusLimits(max_brute=accepted))
+    assert brute == count(2, zeta, "class", limits)
+
+
 def test_count_group_cross_checked_against_solution_cosets():
     # q = 5: class formula equals the sum over classes of size * per-x count
     zeta = gf.root_of_unity(F5, 2)

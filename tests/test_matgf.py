@@ -223,10 +223,15 @@ def test_one_snf_per_similarity_question_and_one_rref_per_solve(monkeypatch):
     for spec in (F2, F3, F4):
         for _ in range(5):
             a = random_mat(spec, 3, rng)
-            for question in (mg.jordan_type, mg.splitting_field):
+            for question in (mg.jordan_type, mg.splitting_field, mg.jordan_transform):
                 calls["snf"] = 0
                 question(a)
                 assert calls["snf"] == 1, question.__name__
+            _, _, blocks, ext = mg.jordan_transform(a)
+            if ext.q >= len(blocks):  # no field growth for distinct shifts
+                calls["snf"] = 0
+                mg.regular_commuting(a)
+                assert calls["snf"] == 1
             x = tuple(rng.randrange(spec.q) for _ in range(3))
             for b in (a.apply(x), (1, 0, 0)):
                 calls["rref"] = 0
@@ -273,6 +278,21 @@ def test_rcf_transform_postcondition():
         p, factors = mg.rcf_transform(a)
         assert p.is_invertible()
         assert p.inverse() @ a @ p == mg.block_diag(spec, [mg.companion(f) for f in factors])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_similarity_questions_reject_non_square(shape):
+    rows, cols = shape
+    a = mg.Mat(F3, [[(i + 2 * j) % 3 for j in range(cols)] for i in range(rows)])
+    questions = (
+        mg.rcf_transform,
+        mg.jordan_transform,
+        mg.regular_commuting,
+        lambda m: mg.similarity_transform(m, m),
+    )
+    for question in questions:
+        with pytest.raises(ValueError, match="non-square"):
+            question(a)
 
 
 def test_jordan_type_examples():
