@@ -9,7 +9,8 @@ that the four counters reach through one dispatch (_count):
   orbit times the orbit size.  ad_{A + lam I} = ad_A, so for Lie and commuting
   pairs A runs through M_n(F_q) mod F_q I (orbits of size q) in blocks of
   p^s matrices, one per SWAR lane: each int holds one F_p-digit of one ad
-  image for the whole block.  A -> ad_A is linear, so the first s
+  image for the whole block, the images read off matgf.ad_matrix
+  (_ad_digits).  A -> ad_A is linear, so the first s
   coordinates of A give digit-plane patterns times fixed images, built
   once, and each block adds its own matrix's images as lane broadcasts.
   One elimination per block solves ad_A(B) = cI exactly for every lane at
@@ -708,7 +709,7 @@ def _value_at(poly: QPoly, q: int) -> int:
     return value
 
 
-# -- packed F_p-digit matrices and the brute Lie scan -----------------------------
+# -- F_p-digit lanes and the brute Lie scan --------------------------------------
 
 def _repeat(x: int, span: int, count: int) -> int:
     """count copies of x, span bits apart, built by doubling."""
@@ -762,84 +763,35 @@ class _Lanes:
         return (low << self.width) - low
 
 
-class _Packing:
-    """n x n matrices over GF(p^k) packed into one int of F_p-digit lanes.
-
-    Lane c = (i*n + j)*k + t holds digit t (the place p^t of the packed
-    index) of entry (i, j), so it is the coordinate of the F_p-basis matrix
-    E_ij * e_t, where e_t is the element with packed index p^t.  sub works
-    on every lane at once (_Lanes).
-    """
-
-    def __init__(self, spec: FieldSpec, n: int):
-        p, k = spec.p, spec.k
-        self.spec = spec
-        self.n = n
-        lanes = _Lanes(p, n * n * k)
-        self.width = lanes.width
-        self.sub = lanes.sub
-        bits = k * self.width  # per entry
-        row_bits = n * bits
-        spread = [
-            sum((x // p**t) % p << (t * self.width) for t in range(k))
-            for x in range(spec.q)
-        ]
-        self._spread = spread
-        # _scaled[t][x]: the digits of entry x * e_t
-        self._scaled = [[spread[spec.mul(x, p**t)] for x in range(spec.q)] for t in range(k)]
-        self._entry_shifts = [e * bits for e in range(n * n)]
-        self._col_shifts = self._entry_shifts[:n]
-        self._row_shifts = self._entry_shifts[::n]
-        self._col0 = sum(((1 << bits) - 1) << r for r in self._row_shifts)  # column 0
-        self._row0 = (1 << row_bits) - 1  # row 0
-
-    def digits(self, packed: int) -> list[int]:
-        """The lanes of a packed matrix, lane 0 first."""
-        mask = (1 << self.width) - 1
-        return [(packed >> (c * self.width)) & mask for c in range(self.n**2 * self.spec.k)]
-
-    def _pack(self, scaled: list[int], m: Mat) -> int:
-        """m e_t packed, for the digit table scaled = _scaled[t]."""
-        entries = map(scaled.__getitem__, itertools.chain(*m.rows))
-        return sum(map(operator.lshift, entries, self._entry_shifts))
-
-    def scalar(self, x: int) -> int:
-        """The packed x I, for a packed field index x."""
-        return sum(self._spread[x] << shift for shift in self._entry_shifts[:: self.n + 1])
-
-    def matrix(self, digits) -> Mat:
-        """The matrix whose lane c holds digits[c]."""
-        spec, n = self.spec, self.n
-        k = spec.k
-        entries = [
-            sum(digits[e * k + t] * spec.p**t for t in range(k)) for e in range(n * n)
-        ]
-        return Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
-
-    def images(self, a: Mat) -> list[int]:
-        """The packed images of the F_p-basis matrices under ad_a: B -> aB - Ba.
-
-        E_ij e_t goes to column i of a e_t placed in column j, minus row j
-        of e_t a placed in row i; lane order as in the class docstring.
-        """
-        sub = self.sub
-        col0, row0 = self._col0, self._row0
-        by_digit = []
-        for scaled in self._scaled:
-            packed = self._pack(scaled, a)
-            cols = [(packed >> shift) & col0 for shift in self._col_shifts]
-            rows = [(packed >> shift) & row0 for shift in self._row_shifts]
-            by_digit.append([
-                sub(col << col_shift, row << row_shift)
-                for col, row_shift in zip(cols, self._row_shifts)
-                for row, col_shift in zip(rows, self._col_shifts)
-            ])
-        return [image for entry in zip(*by_digit) for image in entry]
-
-
 @functools.lru_cache(maxsize=None)
-def _packing(spec: FieldSpec, n: int) -> _Packing:
-    return _Packing(spec, n)
+def _digit_table(spec: FieldSpec) -> list[list[tuple[int, ...]]]:
+    """table[t][x]: the F_p-digits of x * e_t, e_t the element with packed
+    index p^t; digit t' is the place p^t' of the packed index."""
+    p, k = spec.p, spec.k
+    digits = [tuple((x // p**t) % p for t in range(k)) for x in range(spec.q)]
+    return [[digits[spec.mul(x, p**t)] for x in range(spec.q)] for t in range(k)]
+
+
+def _ad_digits(a: Mat) -> list[list[int]]:
+    """The F_p-digits of ad_a on the F_p-basis matrices E_e e_t, lane order.
+
+    Lane e*k + t (e = i*n + j) is the coordinate of E_e e_t.  Row e*k + t
+    holds the digits of its image: column e of matgf.ad_matrix(a) scaled by
+    e_t, with digit t' of entry e' in lane e'*k + t'.
+    """
+    table = _digit_table(a.spec)
+    return [
+        [d for x in col for d in scaled[x]]
+        for col in zip(*ad_matrix(a).rows)
+        for scaled in table
+    ]
+
+
+def _lane_matrix(spec: FieldSpec, n: int, digits) -> Mat:
+    """The n x n matrix whose lane e*k + t holds digits[e*k + t]."""
+    p, k = spec.p, spec.k
+    entries = [sum(digits[e * k + t] * p**t for t in range(k)) for e in range(n * n)]
+    return Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
 
 
 # bits per int in a block of the brute Lie scan: p^s matrices, one per lane
@@ -857,7 +809,7 @@ def _digit_planes(lanes: _Lanes, s: int) -> list[int]:
     return planes
 
 
-def _ad_blocks(packing: _Packing, s: int):
+def _ad_blocks(spec: FieldSpec, n: int, s: int):
     """The images of ad_A for blocks of p^s matrices A, one A per lane.
 
     A walks the matrices whose last k lanes (entry (n-1, n-1)) are 0, one
@@ -865,15 +817,16 @@ def _ad_blocks(packing: _Packing, s: int):
     a the block's matrix, whose first s lanes are 0; lane l of the block is
     A = a + the matrix whose first s lanes are the base-p digits of l.
     rows[r][c] holds in lane l digit c of ad_A applied to the basis matrix
-    of lane r, for r < n^2 k - k: the images of E_{n-1,n-1} e_t are dropped,
-    since they add with the other diagonal ones to ad_A(e_t I) = 0.
+    of lane r (_ad_digits), for r < n^2 k - k: the images of E_{n-1,n-1} e_t
+    are dropped, since they add with the other diagonal ones to
+    ad_A(e_t I) = 0.
     A -> ad_A is F_p-linear, so the first s lanes contribute the digit
     planes times the images of their basis matrices, built once, and each
     block adds the images of ad_a as lane broadcasts.  Blocks come lazily,
     so memory does not grow with the matrices.
     """
-    p, k = packing.spec.p, packing.spec.k
-    cols = packing.n**2 * k
+    p, k = spec.p, spec.k
+    cols = n * n * k
     m = cols - k
     lanes = _Lanes(p, p**s)
     add = lanes.add
@@ -882,49 +835,52 @@ def _ad_blocks(packing: _Packing, s: int):
         multiples = [0, plane]
         while len(multiples) < p:
             multiples.append(add(multiples[-1], plane))
-        basis = packing.matrix([int(c == j) for c in range(cols)])
-        for row, image in zip(inner, packing.images(basis)):
-            for c, d in enumerate(packing.digits(image)):
+        basis = _lane_matrix(spec, n, [int(c == j) for c in range(cols)])
+        for row, image in zip(inner, _ad_digits(basis)):
+            for c, d in enumerate(image):
                 if d:
                     row[c] = add(row[c], multiples[d])
     broadcast = [d * lanes.ones for d in range(p)]
     for outer in itertools.product(range(p), repeat=m - s):
-        a = packing.matrix((0,) * s + outer + (0,) * k)
+        a = _lane_matrix(spec, n, (0,) * s + outer + (0,) * k)
         rows = [
-            [add(x, broadcast[d]) if d else x for x, d in zip(row, packing.digits(image))]
-            for row, image in zip(inner, packing.images(a))
+            [add(x, broadcast[d]) if d else x for x, d in zip(row, image)]
+            for row, image in zip(inner, _ad_digits(a))
         ]
         yield a, rows
 
 
-def _ad_rank_histogram(packing: _Packing, target: int) -> tuple[list[int], list[int]]:
+def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[int]]:
     """(walked, consistent): per rank of ad_A over F_q, how many A of the walk
-    of _ad_blocks have it, and how many of those have target in im ad_A.
+    of _ad_blocks have it, and how many of those have cI in im ad_A.
 
-    target = packing.scalar(c.idx).  Each block eliminates the F_p-images of
-    all its lanes at once, column by column: every lane takes as pivot its
-    first row that is nonzero there, the pivot rows are masked together into
-    one pivot vector, and masked subtractions of it clear the column in
-    every row of each lane; a subtraction moves a digit by the unit of the
-    pivot, so at most p - 1 clear it.  That also clears each pivot row in
-    its own lanes, so no row is a pivot twice.  A bit-sliced counter keeps
-    each lane's pivot count, its F_p-rank k * rank.  target rides along as
-    one more row that is never a pivot; it is in the image exactly where it
-    ends at 0.
+    Each block eliminates the F_p-images of all its lanes at once, column
+    by column: every lane takes as pivot its first row that is nonzero
+    there, the pivot rows are masked together into one pivot vector, and
+    masked subtractions of it clear the column in every row of each lane; a
+    subtraction moves a digit by the unit of the pivot, so at most p - 1
+    clear it.  That also clears each pivot row in its own lanes, so no row
+    is a pivot twice.  A bit-sliced counter keeps each lane's pivot count,
+    its F_p-rank k * rank.  The digits of cI ride along as one more row that
+    is never a pivot; cI is in the image exactly where that row ends at 0.
     """
-    spec, n = packing.spec, packing.n
     p, k = spec.p, spec.k
     cols = n * n * k
     m = cols - k
+    width = _Lanes(p, 1).width
     s = 0
-    while s < m and p ** (s + 1) * packing.width <= _BLOCK_BITS:
+    while s < m and p ** (s + 1) * width <= _BLOCK_BITS:
         s += 1
     lanes = _Lanes(p, p**s)
     sub, nonzero, ones, full = lanes.sub, lanes.nonzero, lanes.ones, lanes.full
-    goal_digits = [d * ones for d in packing.digits(target)]
+    goal_digits = [
+        (c.idx // p**t) % p * ones if e % (n + 1) == 0 else 0  # cI: c on the diagonal
+        for e in range(n * n)
+        for t in range(k)
+    ]
     walked = [0] * (n * n + 1)
     consistent = [0] * (n * n + 1)
-    for _, rows in _ad_blocks(packing, s):
+    for _, rows in _ad_blocks(spec, n, s):
         goal = list(goal_digits)
         counter = []  # bit i of every lane's pivot count, at bit 0 of the lane
         for col in range(cols):
@@ -1010,8 +966,7 @@ def _lie_scan(n: int, spec: FieldSpec, c: Fe) -> int:
     solves ad_A(B) = cI exactly, with q^(n^2 - rank) solutions or none for
     each of the q matrices of its coset."""
     q, nn = spec.q, n * n
-    packing = _packing(spec, n)
-    _, consistent = _ad_rank_histogram(packing, packing.scalar(c.idx))
+    _, consistent = _ad_rank_histogram(spec, n, c)
     return q * sum(count * q ** (nn - rank) for rank, count in enumerate(consistent))
 
 
@@ -1068,8 +1023,9 @@ def count_group_pairs(
     zeta = _unit(spec, zeta)
 
     def scan() -> int:
-        if gl_order(n, spec.q) ** 2 > min(PAIR_SCAN_MAX * 4, limits.max_brute):
-            raise LimitExceeded("group brute scan exceeds the configured limit")
+        pairs, cap = gl_order(n, spec.q) ** 2, min(PAIR_SCAN_MAX * 4, limits.max_brute)
+        if pairs > cap:
+            raise LimitExceeded("group brute scan of %d pairs exceeds limit %d" % (pairs, cap))
         return _unit_orbit_sum(spec, n, functools.partial(_group_solutions, zeta=zeta))
 
     return _count("group", n, spec, strategy, limits, scan, d=zeta.multiplicative_order())

@@ -886,17 +886,18 @@ def regular_commuting(a: Mat) -> Mat:
     Construction: bring A to Jordan form over the splitting field, replace
     each Jordan block J of eigenvalue lam by (mu - lam) I + J with pairwise
     distinct shifts mu, and conjugate back.  The field is extended further
-    (transparently) when it has fewer elements than there are blocks.
+    (transparently) when it has fewer elements than there are blocks: P and
+    the eigenvalues are embedded into it, a ring map, so P^-1 A P = J there too.
     """
-    p, j, blocks, ext = jordan_transform(a)
+    p, _, blocks, ext = jordan_transform(a)
     if ext.q < len(blocks):
         # need at least one distinct shift per block
         grow = 2
         while ext.q**grow < len(blocks):
             grow += 1
-        bigger = field(ext.p, ext.k * grow)
-        a2 = embed_mat(a, bigger)
-        return regular_commuting(a2)
+        ext = field(ext.p, ext.k * grow)
+        p = embed_mat(p, ext)
+        blocks = [(embed(lam, ext), m) for lam, m in blocks]
     shifted = []
     for mu_idx, (lam, m) in enumerate(blocks):
         mu = Fe(ext, mu_idx)

@@ -3,15 +3,91 @@
 The counters visit one matrix per scalar orbit (A mod F_q I for Lie and
 commuting pairs, x mod F_q^x for group pairs and W) and multiply by the
 orbit size, and the Lie and commuting scan eliminates a whole block of A
-at once, one A per lane.  These scans visit every A in M_n(F_q), each with
-its full list of packed ad images eliminated on its own, and every
-invertible x, each with the same walk over the solutions y of
-xy = y(zeta x) as the counter; the tests compare the two.
+at once, one A per lane, on lane images read off matgf.ad_matrix.  These
+scans visit every A in M_n(F_q), each with its full list of ad images
+eliminated on its own, and every invertible x, each with the same walk
+over the solutions y of xy = y(zeta x) as the counter; the tests compare
+the two.  The per-matrix images come from a packed image builder of their
+own (Packing), so they are a second derivation of ad_A as well.
 """
 
 import functools
+import itertools
+import operator
 
 from commvar import census as cs
+
+
+class Packing:
+    """n x n matrices over GF(p^k) packed into one int of F_p-digit lanes.
+
+    Lane c = (i*n + j)*k + t holds digit t (the place p^t of the packed
+    index) of entry (i, j), so it is the coordinate of the F_p-basis matrix
+    E_ij * e_t, where e_t is the element with packed index p^t: the lane
+    order of census._ad_digits.  sub works on every lane at once
+    (census._Lanes).
+    """
+
+    def __init__(self, spec, n: int):
+        p, k = spec.p, spec.k
+        self.spec = spec
+        self.n = n
+        lanes = cs._Lanes(p, n * n * k)
+        self.width = lanes.width
+        self.sub = lanes.sub
+        bits = k * self.width  # per entry
+        row_bits = n * bits
+        spread = [
+            sum((x // p**t) % p << (t * self.width) for t in range(k))
+            for x in range(spec.q)
+        ]
+        self._spread = spread
+        # _scaled[t][x]: the digits of entry x * e_t
+        self._scaled = [[spread[spec.mul(x, p**t)] for x in range(spec.q)] for t in range(k)]
+        self._entry_shifts = [e * bits for e in range(n * n)]
+        self._col_shifts = self._entry_shifts[:n]
+        self._row_shifts = self._entry_shifts[::n]
+        self._col0 = sum(((1 << bits) - 1) << r for r in self._row_shifts)  # column 0
+        self._row0 = (1 << row_bits) - 1  # row 0
+
+    def digits(self, packed: int) -> list[int]:
+        """The lanes of a packed matrix, lane 0 first."""
+        mask = (1 << self.width) - 1
+        return [(packed >> (c * self.width)) & mask for c in range(self.n**2 * self.spec.k)]
+
+    def _pack(self, scaled: list[int], m) -> int:
+        """m e_t packed, for the digit table scaled = _scaled[t]."""
+        entries = map(scaled.__getitem__, itertools.chain(*m.rows))
+        return sum(map(operator.lshift, entries, self._entry_shifts))
+
+    def scalar(self, x: int) -> int:
+        """The packed x I, for a packed field index x."""
+        return sum(self._spread[x] << shift for shift in self._entry_shifts[:: self.n + 1])
+
+    def images(self, a) -> list[int]:
+        """The packed images of the F_p-basis matrices under ad_a: B -> aB - Ba.
+
+        E_ij e_t goes to column i of a e_t placed in column j, minus row j
+        of e_t a placed in row i; lane order as in the class docstring.
+        """
+        sub = self.sub
+        col0, row0 = self._col0, self._row0
+        by_digit = []
+        for scaled in self._scaled:
+            packed = self._pack(scaled, a)
+            cols = [(packed >> shift) & col0 for shift in self._col_shifts]
+            rows = [(packed >> shift) & row0 for shift in self._row_shifts]
+            by_digit.append([
+                sub(col << col_shift, row << row_shift)
+                for col, row_shift in zip(cols, self._row_shifts)
+                for row, col_shift in zip(rows, self._col_shifts)
+            ])
+        return [image for entry in zip(*by_digit) for image in entry]
+
+
+@functools.lru_cache(maxsize=None)
+def packing(spec, n: int) -> Packing:
+    return Packing(spec, n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,11 +129,11 @@ def ad_rank_consistency(packing, images: list[int], target: int) -> tuple[int, b
 
 def lie_count(n, spec, c) -> int:
     """#{(A, B) : AB - BA = cI}, one elimination per A in M_n(F_q)."""
-    packing = cs._packing(spec, n)
-    target = packing.scalar(spec.el(c).idx)
+    pk = packing(spec, n)
+    target = pk.scalar(spec.el(c).idx)
     count = 0
     for a in cs._all_matrices(spec, n):
-        rank, consistent = ad_rank_consistency(packing, packing.images(a), target)
+        rank, consistent = ad_rank_consistency(pk, pk.images(a), target)
         if consistent:
             count += spec.q ** (n * n - rank)
     return count

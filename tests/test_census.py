@@ -206,7 +206,8 @@ def test_counter_contract(count, variety, p, d):
     if variety == "group":
         # the group scan's own cap on |GL_2(3)|^2 = 48^2 pairs
         assert cs.gl_order(2, 3) ** 2 == 2304
-        with pytest.raises(LimitExceeded, match="group brute scan exceeds"):
+        cap = "group brute scan of 2304 pairs exceeds limit 2303"
+        with pytest.raises(LimitExceeded, match=cap):
             count(2, zeta, "brute", cs.CensusLimits(max_brute=2303))
         accepted = 2304
     brute = count(2, zeta, "brute", cs.CensusLimits(max_brute=accepted))
@@ -291,7 +292,7 @@ def test_image_kernel_equals_rref():
     odd = [F3, F5, gf.field(7), gf.field(3, 2), gf.field(5, 2), gf.field(3, 3)]
     for spec in [F4, gf.field(2, 3)] + odd:
         for n in (2, 3):
-            packing = cs._packing(spec, n)
+            packing = ls.packing(spec, n)
             consistent_seen = set()
             for _ in range(500):
                 # half the entries zero, so degenerate and nilpotent parts are common
@@ -321,15 +322,15 @@ def test_ad_blocks_hold_the_images_of_every_lane():
     cases = [(2, F2, 3), (2, F2, 1), (3, F2, 8), (3, F2, 5), (2, F3, 3), (2, F3, 2),
              (2, F4, 4), (2, gf.field(2, 3), 7), (2, gf.field(3, 2), 3), (2, F5, 1)]
     for n, spec, s in cases:
-        packing = cs._packing(spec, n)
+        packing = ls.packing(spec, n)
         p, k = spec.p, spec.k
         m = n * n * k - k  # the walk leaves the k lanes of entry (n-1, n-1) at 0
         seen = set()
-        for a, rows in cs._ad_blocks(packing, s):
+        for a, rows in cs._ad_blocks(spec, n, s):
             assert len(rows) == m
             for lane in range(p**s):
                 inner = [(lane // p**j) % p for j in range(s)]
-                matrix = a + packing.matrix(inner + [0] * (n * n * k - s))
+                matrix = a + cs._lane_matrix(spec, n, inner + [0] * (n * n * k - s))
                 assert matrix.at(n - 1, n - 1).idx == 0
                 # the images of E_{n-1,n-1} e_t are dropped: they lie in the span
                 expected = [packing.digits(v) for v in packing.images(matrix)[:m]]
@@ -339,8 +340,39 @@ def test_ad_blocks_hold_the_images_of_every_lane():
                 seen.add(matrix)
         assert len(seen) == spec.q ** (n * n - 1), (n, spec.q, s)
     # lazy: 2^35 matrices, of which only the first block is built
-    a, rows = next(cs._ad_blocks(cs._packing(F2, 6), 4))
+    a, rows = next(cs._ad_blocks(F2, 6, 4))
     assert a == mg.Mat.zeros(F2, 6, 6) and len(rows) == 35
+
+
+def test_ad_digits_equal_packed_reference_images():
+    # every row, the images of E_{n-1,n-1} e_t included, for A with any
+    # entry (n-1, n-1); the reference packs its own images
+    import random
+
+    rng = random.Random(20)
+    fields = [F2, F3, F4, F5, gf.field(7), gf.field(2, 3), gf.field(3, 2)]
+    for spec in fields:
+        p, k = spec.p, spec.k
+        for n in (1, 2, 3):
+            packing = ls.packing(spec, n)
+            lanes = n * n * k
+            corner_seen = False
+            for _ in range(20):
+                a = mg.Mat(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)])
+                corner_seen |= a.at(n - 1, n - 1).idx != 0
+                rows = cs._ad_digits(a)
+                assert len(rows) == lanes
+                assert rows == [packing.digits(v) for v in packing.images(a)], (spec.q, n, a)
+                # _lane_matrix inverts the lane order: lane e*k + t is digit t of entry e
+                digits = [rng.randrange(p) for _ in range(lanes)]
+                m = cs._lane_matrix(spec, n, digits)
+                assert [(x // p**t) % p for x in mg.vec(m) for t in range(k)] == digits
+                # row c is the image of the basis matrix of lane c
+                c = rng.randrange(lanes)
+                basis = cs._lane_matrix(spec, n, [int(i == c) for i in range(lanes)])
+                image = mg.vec(mg.lie_commutator(a, basis))
+                assert rows[c] == [(x // p**t) % p for x in image for t in range(k)]
+            assert corner_seen, (spec.q, n)
 
 
 def test_ad_rank_histogram_equals_per_matrix_reference(monkeypatch):
@@ -348,7 +380,7 @@ def test_ad_rank_histogram_equals_per_matrix_reference(monkeypatch):
     grid = [(n, spec) for n in (1, 2, 3) for spec in fields if spec.q ** (n * n - 1) <= 3**8]
     assert (3, F3) in grid and (2, gf.field(3, 2)) in grid
     for n, spec in grid:
-        packing = cs._packing(spec, n)
+        packing = ls.packing(spec, n)
         walk = [a for a in cs._all_matrices(spec, n) if a.at(n - 1, n - 1).idx == 0]
         for c in {spec.zero, spec.one, gf.Fe(spec, spec.q - 1)}:
             target = packing.scalar(c.idx)
@@ -359,18 +391,18 @@ def test_ad_rank_histogram_equals_per_matrix_reference(monkeypatch):
                 consistent[rank] += solvable
             assert sum(walked) == spec.q ** (n * n - 1)
             expected = (walked, consistent)
-            assert cs._ad_rank_histogram(packing, target) == expected, (n, spec.q, c)
+            assert cs._ad_rank_histogram(spec, n, c) == expected, (n, spec.q, c)
             # narrow blocks: every walk with n >= 2 spans several
             with monkeypatch.context() as patch:
                 patch.setattr(cs, "_BLOCK_BITS", 64)
-                assert cs._ad_rank_histogram(packing, target) == expected, (n, spec.q, c)
+                assert cs._ad_rank_histogram(spec, n, c) == expected, (n, spec.q, c)
 
 
 def test_ad_rank_histogram_checks_its_total(monkeypatch):
     # a walk that loses a block no longer totals q^(n^2 - 1)
     blocks = cs._ad_blocks
     monkeypatch.setattr(cs, "_BLOCK_BITS", 64)
-    monkeypatch.setattr(cs, "_ad_blocks", lambda packing, s: list(blocks(packing, s))[1:])
+    monkeypatch.setattr(cs, "_ad_blocks", lambda spec, n, s: list(blocks(spec, n, s))[1:])
     with pytest.raises(MathCheckFailed, match="walked 192 matrices, not q\\^8"):
         cs.count_commuting_pairs(3, F2, "brute")
 
@@ -404,7 +436,7 @@ def test_scalar_orbit_identities():
             mg.Mat.zeros(spec, 2, 2)
         }
         for n in (2, 3):
-            packing = cs._packing(spec, n)
+            packing = ls.packing(spec, n)
             for _ in range(20):
                 a = mg.Mat(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)])
                 lam = mg.Mat.scalar(spec, n, gf.Fe(spec, rng.randrange(spec.q)))
@@ -582,7 +614,7 @@ def test_consistency_iff_divisibility_per_class():
     # cI solvable for c != 0 exactly when every partition part is a multiple
     # of p (class-level check covers every matrix up to conjugacy)
     for spec, n in [(F2, 2), (F4, 2), (F2, 4), (F3, 3)]:
-        packing = cs._packing(spec, n)
+        packing = ls.packing(spec, n)
         for cl in cs.enumerate_classes(n, spec):
             a = cl.representative
             _, consistent = ls.ad_rank_consistency(
@@ -623,7 +655,7 @@ def test_type_sum_equals_per_class_kernel_sum():
         q = spec.q
         for n in range(1, 5):
             classes = cs.enumerate_classes(n, spec)
-            packing = cs._packing(spec, n)
+            packing = ls.packing(spec, n)
             for c in (spec.one, spec.zero):
                 total = 0
                 for cl in classes:

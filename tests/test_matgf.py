@@ -237,6 +237,11 @@ def test_one_snf_per_similarity_question_and_one_rref_per_solve(monkeypatch):
                 calls["rref"] = 0
                 mg.solve_affine(a, b)
                 assert calls["rref"] == 1
+    # too few elements for distinct shifts: the field grows, on the same SNF
+    for zero, grown in ((mg.Mat.zeros(F2, 3, 3), 4), (mg.Mat.zeros(F3, 4, 4), 9)):
+        calls["snf"] = 0
+        r = mg.regular_commuting(zero)
+        assert calls["snf"] == 1 and r.spec.q == grown
 
 
 def test_similarity_classifier_exhaustive_2x2():

@@ -78,7 +78,7 @@ def test_polynomial_equals_class_kernel_sum_and_brute_count(case, scalar):
     q = spec.q
     c = spec.one if scalar else spec.zero
     value = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)(q)
-    packing = cs._packing(spec, n)
+    packing = ls.packing(spec, n)
     target = packing.scalar(c.idx)
     class_sum = 0
     for cl in cs.enumerate_classes(n, spec):
