@@ -22,11 +22,11 @@ that the four counters reach through one dispatch (_count):
   that kernel are tested for invertibility.  W takes one Smith normal form
   per such x: x ~ zeta x iff the twist fixes each invariant factor;
 * class: the exact point-count polynomial of the variety, evaluated at q.
-  For commuting pairs it is the Feit-Fine sum over the partitions of n,
-  and for [A,B] = cI with c != 0 the product |GL_pr| / |GL_r| times the
-  commuting polynomial at r = n/p (zero where p does not divide n); for
-  group pairs |GL_n| times the class number of GL_{n/d}, d = ord zeta, and
-  for W a product over the twist-orbit kinds; both for q = 1 (mod d).
+  For commuting pairs it is the Feit-Fine o-fold over part sizes, for
+  [A,B] = cI with c != 0 |GL_pr| / |GL_r| times the commuting polynomial at
+  r = n/p (zero where p does not divide n), for group pairs |GL_n| times
+  Macdonald's series for the class number of GL_{n/d}, d = ord zeta, and
+  for W a o-product over the twist-orbit kinds; both for q = 1 (mod d).
 
 Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
 classes one by one; the counters do not use it, and the tests compare the
@@ -307,19 +307,6 @@ def centralizer_group_order(rep: ClassRep, q: int | None = None) -> int:
 
 # -- point-count polynomials ----------------------------------------------------
 
-def _partition_numbers(n: int) -> list[int]:
-    """p(0), ..., p(n): how many partitions each size has."""
-    p = [1] + [0] * n
-    for part in range(1, n + 1):
-        for w in range(part, n + 1):
-            p[w] += p[w - part]
-    return p
-
-
-def _check_class_limit(size: int, what: str, n: int, limits: CensusLimits) -> None:
-    if size > limits.max_classes:
-        raise LimitExceeded("%s at n=%d exceed limit %d" % (what, n, limits.max_classes))
-
 class QPoly:
     """A polynomial in q with rational coefficients: sum coeffs[i] q^i / den.
 
@@ -493,31 +480,28 @@ def _class_size_poly(n: int, factors) -> QPoly:
 def _lie_polynomial(n: int, p: int) -> QPoly:
     """#{(A, B) : AB - BA = cI} over F_q as a polynomial in q.
 
-    p = 0 gives c = 0, the commuting pairs, for every q (Feit-Fine):
-    C_n = sum_{lam |- n} |GL_n| prod_i q^(k_i + k_i(k_i+1)/2) / prod_{j<=k_i} (q^j - 1),
-    k_i the multiplicity of part i in lam; every division must be exact.
+    p = 0 gives c = 0, the commuting pairs, for every q (Feit-Fine): C_n is
+    entry n of the o-fold over part sizes i of the series |GL_ik| g(k), with
+    g(k) = q^(k + k(k+1)/2) / prod_{j<=k} (q^j - 1) for k parts of size i.
     Otherwise c != 0 in characteristic p, where cI is in the image of ad_A
     iff every partition part of A's class is divisible by p; that keeps the
-    Feit-Fine factors at u^p, so L_{pr} = |GL_pr| / |GL_r| C_r and L_n = 0
-    for p not dividing n.
+    Feit-Fine factors at u^p, so L_{pr} = |GL_pr| / |GL_r| C_r.
     """
     if p:
-        if n % p:
-            return QPoly()
         r = n // p
         out = _lie_polynomial(r, 0).shift((n * (n - 1) - r * (r - 1)) // 2)
         for i in range(r + 1, n + 1):
             out = out.mul_q_power_minus_one(i)
         return out
-    terms = []
-    for lam in partitions(n):
-        term = _gl_order_poly(n)
-        for k in Counter(lam).values():
-            term = term.shift(k + k * (k + 1) // 2)
-            for j in range(1, k + 1):
-                term = term.div_q_power_minus_one(j)
-        terms.append(term)
-    return QPoly.sum(terms)
+    return _part_fold(n, _feit_fine_term, _gl_binomial)
+
+
+def _feit_fine_term(m: int, k: int) -> QPoly:
+    """|GL_m| g(k) for k parts of size m/k; every division must be exact."""
+    term = _gl_order_poly(m).shift(k + k * (k + 1) // 2)
+    for j in range(1, k + 1):
+        term = term.div_q_power_minus_one(j)
+    return term
 
 
 @functools.lru_cache(maxsize=None)
@@ -539,13 +523,8 @@ def _twist_fixed_count_poly(m: int, s: int) -> QPoly:
 
 
 def _twist_kinds(n: int, d: int) -> list[tuple[int, int]]:
-    """Orbit kinds (degree e, stabiliser order s) whose d/s members fit in n."""
-    return [
-        (e, s)
-        for e in range(1, n + 1)
-        for s in range(1, d + 1)
-        if d % s == 0 and e % s == 0 and (d // s) * e <= n
-    ]
+    """Orbit kinds (e, s) whose d/s members fit in n, in (e, s) order: s | d, s | e."""
+    return sorted((e, s) for s in range(1, d + 1) if d % s == 0 for e in range(s, n * s // d + 1, s))
 
 
 @functools.lru_cache(maxsize=None)
@@ -570,18 +549,11 @@ def _group_polynomial(n: int, d: int) -> QPoly:
     |GL_n| times the zeta-fixed invertible classes: one partition per twist
     orbit of irreducibles f != t, whose product is h(t^d) for exactly one
     irreducible h != t.  So they are the classes of GL_{n/d} (none if d does
-    not divide n), k(GL_m) = sum_{lam |- m} prod_k q^(k-1) (q - 1) over the
-    part multiplicities k of lam: Macdonald's prod_i (1 - u^i) / (1 - q u^i).
+    not divide n), and k(GL_m) is the u^m coefficient of Macdonald's
+    prod_i (1 - u^i) / (1 - q u^i) = prod_i (1 + sum_k q^(k-1) (q - 1) u^(ik)).
     """
-    if n % d:
-        return QPoly()
-    terms = []
-    for lam in partitions(n // d):
-        term = _q_power(0)
-        for k in Counter(lam).values():
-            term = term.shift(k - 1).mul_q_power_minus_one(1)
-        terms.append(term)
-    return _gl_order_poly(n) * QPoly.sum(terms)
+    term = lambda m, k: _q_power(k - 1).mul_q_power_minus_one(1)
+    return _gl_order_poly(n) * _part_fold(n // d, term, lambda c, a: 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,20 +562,42 @@ def _gl_binomial(c: int, a: int) -> QPoly:
     return _class_size_poly(c, _centralizer_factors([(1, (1,) * a), (1, (1,) * (c - a))]))
 
 
-def _gl_product(x: dict, y: dict, n: int) -> dict:
-    """(x o y)_c = sum_a K(c, a) x_a y_(c-a) for c <= n; x, y map sizes to nonzero terms."""
-    terms = {}
-    for a, xa in x.items():
-        for b, yb in y.items():
-            if a + b <= n:
-                terms.setdefault(a + b, []).append(_gl_binomial(a + b, a) * (xa * yb))
-    return {c: QPoly.sum(t) for c, t in terms.items()}
+def _sums(x, y, n: int, least: int = 1) -> tuple[int, dict]:
+    """(pairs, {c: [a, ...]}): the a in x with c - a in y that a product up to n
+    multiplies; no c with 0 < n - c < least, as every later part is >= least."""
+    sums = {}
+    for a, b in itertools.product(x, y):
+        if a + b == n or a + b <= n - least:
+            sums.setdefault(a + b, []).append(a)
+    return sum(map(len, sums.values())), sums
 
 
-def _sum_support(x, y, n: int) -> tuple[int, set]:
-    """(pairs, support) of x o y for supports x, y: what _gl_product multiplies."""
-    sums = [a + b for a in x for b in y if a + b <= n]
-    return len(sums), set(sums)
+def _product(x: dict, y: dict, n: int, weight, least: int = 1) -> dict:
+    """(xy)_c = sum_a weight(c, a) x_a y_(c-a) over _sums, x, y mapping sizes to
+    terms: x o y for weight _gl_binomial, the plain product for weight 1."""
+    return {
+        c: QPoly.sum(weight(c, a) * (x[a] * y[c - a]) for a in sizes)
+        for c, sizes in _sums(x, y, n, least)[1].items()
+    }
+
+
+def _part_fold(n: int, term, weight) -> QPoly:
+    """Entry n of the _product by weight over part sizes i = 1..n, in
+    ascending order, of the series 1 + sum_k term(ik, k) u^(ik)."""
+    total = {0: _q_power(0)}
+    for i in range(1, n + 1):
+        part = {0: _q_power(0)} | {i * k: term(i * k, k) for k in range(1, n // i + 1)}
+        total = _product(total, part, n, weight, i + 1)
+    return total[n]
+
+
+def _part_fold_pairs(n: int) -> int:
+    """How many term pairs _part_fold(n, ...) multiplies: its loop on supports alone."""
+    pairs, total = 0, {0}
+    for i in range(1, n + 1):
+        count, total = _sums(total, range(0, n + 1, i), n, i + 1)
+        pairs += count
+    return pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -635,11 +629,11 @@ def _w_polynomial(n: int, d: int) -> QPoly:
         }
         series, power, binomial = {0: one}, {0: one}, one
         for k in range(1, n // w + 1):
-            power = _gl_product(power, one_orbit, n)
+            power = _product(power, one_orbit, n, _gl_binomial)
             binomial = binomial * (orbits - (k - 1)) / k
             for c, g in power.items():
                 series[c] = series.get(c, QPoly()) + binomial * g
-        total = _gl_product(total, series, n)
+        total = _product(total, series, n, _gl_binomial)
     return total.get(n, QPoly())
 
 
@@ -651,10 +645,10 @@ def _w_product_pairs(n: int, d: int) -> int:
         one_orbit = range(w, n + 1, w)
         series = power = {0}
         for _ in one_orbit:
-            count, power = _sum_support(power, one_orbit, n)
+            count, power = _sums(power, one_orbit, n)
             pairs += count
-            series = series | power
-        count, total = _sum_support(total, series, n)
+            series = series | power.keys()
+        count, total = _sums(total, series, n)
         pairs += count
     return pairs
 
@@ -673,10 +667,7 @@ def point_count_polynomial(
     "W": x conjugate to zeta x, for zeta of order d and every q = 1 (mod d).
     Its degree is the dimension of the variety, and its leading coefficient
     counts the components of that dimension.  limits.max_classes bounds the
-    work of the sum: p(m) * m for Lie and commuting pairs at m = n and for
-    group pairs at m = n/d (partitions of m, each with at most m factors),
-    and S n^4 / 10^5 for W, S the term pairs of its o-products, each a
-    product of polynomials of degree up to n^2.
+    steps of the build (_check_build_steps), which do not depend on q.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -684,21 +675,30 @@ def point_count_polynomial(
         raise ValueError("the lie polynomial needs the characteristic p")
     if variety in ("group", "W") and d < 1:
         raise ValueError("d must be positive")
-    if variety in ("lie", "commuting", "group"):
-        # p(m) * m grows with m: stop at the first m past the limit
-        for m in range(1, (n // d if variety == "group" else n) + 1):
-            _check_class_limit(_partition_numbers(m)[m] * m, "partition-sum steps", n, limits)
-        if variety == "group":
-            return _group_polynomial(n, d)
-        return _lie_polynomial(n, p if variety == "lie" else 0)
+    divisor = {"lie": p, "commuting": 1, "group": d, "W": d}.get(variety)
+    if divisor is None:
+        raise ValueError("unknown variety %r" % variety)
+    if n % divisor:
+        return QPoly()  # tr [A, B] = 0 = nc, and det x = zeta^n det x
+    _check_build_steps(variety, n, divisor, limits)
     if variety == "W":
-        if n % d:
-            return QPoly()  # x ~ zeta x forces det x = zeta^n det x
-        for m in range(d, n + 1, d):  # stop at the first m past the limit
-            work = _w_product_pairs(m, d) * m**4  # m^4: a product of degree-m^2 terms
-            _check_class_limit(-(-work // 10**5), "W product steps", n, limits)
         return _w_polynomial(n, d)
-    raise ValueError("unknown variety %r" % variety)
+    if variety == "group":
+        return _group_polynomial(n, d)
+    return _lie_polynomial(n, p if variety == "lie" else 0)
+
+
+def _check_build_steps(variety: str, n: int, divisor: int, limits: CensusLimits) -> None:
+    """Refuse a build over limits.max_classes steps, counted on supports alone:
+    m^4 / 10^5 per term pair a build of size m multiplies (_sums), one pair at n
+    for the factor |GL_n| / |GL_m| of Lie and group pairs; steps grow with m."""
+    factor = n**4 if variety in ("lie", "group") else 0
+    for m in range(divisor, n + 1, divisor) if variety == "W" else range(1, n // divisor + 1):
+        pairs = _w_product_pairs(m, divisor) if variety == "W" else _part_fold_pairs(m)
+        if -(-(factor + pairs * m**4) // 10**5) > limits.max_classes:
+            raise LimitExceeded(
+                "%s product steps at n=%d exceed limit %d" % (variety, n, limits.max_classes)
+            )
 
 
 def _value_at(poly: QPoly, q: int) -> int:

@@ -1,14 +1,15 @@
 """Reference: the Lie, commuting, group and W polynomials as sums over class types.
 
-A type is a sorted multiset of (degree d, partition lam) with
-sum d * |lam| = n: the primary data of a class with each irreducible
-replaced by its degree.  Each type contributes its number of classes, its
+The Feit-Fine and class-number partition sums (feit_fine_sum,
+class_number_sum) are the same counts summed over partitions.  A type is a
+sorted multiset of (degree d, partition lam) with sum d * |lam| = n: the
+primary data of a class with each irreducible replaced by its degree.  Each type contributes its number of classes, its
 class size and q^dim C solutions B per matrix, and the classes of all types
 must cover q^(n^2) matrices as a polynomial identity.  Group pairs and W
 sum over the twist types of the zeta-fixed invertible classes instead:
 multisets of (orbit kind (e, s), lam), one entry per twist orbit.  The
-counters use closed forms and, for W, a product over orbit kinds; the
-tests compare the two.
+counters build every polynomial as a product of series, over part sizes or
+orbit kinds; the tests compare them with these sums.
 """
 
 import functools
@@ -37,6 +38,15 @@ def _multisets(keys, n: int):
     return out
 
 
+def _partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n): how many partitions each size has."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for w in range(part, n + 1):
+            p[w] += p[w - part]
+    return p
+
+
 def _num_multisets(kind_sizes, n: int) -> int:
     """How many multisets of (kind, partition lam) have sizes summing to n.
 
@@ -44,13 +54,50 @@ def _num_multisets(kind_sizes, n: int) -> int:
     coefficient of prod_m (1 - x^m)^(-a_m), where a_m counts the pairs of
     size m, by the Euler transform recurrence; nothing is listed.
     """
-    p = cs._partition_numbers(n)
+    p = _partition_numbers(n)
     a = [sum(p[m // k] for k in kind_sizes if m % k == 0) for m in range(n + 1)]
     c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(n + 1)]
     b = [1]
     for m in range(1, n + 1):
         b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) // m)
     return b[n]
+
+
+def feit_fine_sum(n: int, p: int = 0) -> QPoly:
+    """#{(A, B) : AB - BA = cI} as the Feit-Fine sum over partitions of n.
+
+    C_n = sum_{lam |- n} |GL_n| prod_i q^(k_i + k_i(k_i+1)/2) / prod_{j<=k_i} (q^j - 1),
+    k_i the multiplicity of part i in lam; every division must be exact.
+    For c != 0 in characteristic p only the lam whose parts are all
+    divisible by p count, with the same factors.
+    """
+    terms = []
+    for lam in cs.partitions(n):
+        if p and any(part % p for part in lam):
+            continue
+        term = cs._gl_order_poly(n)
+        for k in Counter(lam).values():
+            term = term.shift(k + k * (k + 1) // 2)
+            for j in range(1, k + 1):
+                term = term.div_q_power_minus_one(j)
+        terms.append(term)
+    return QPoly.sum(terms)
+
+
+def class_number_sum(n: int, d: int) -> QPoly:
+    """#{(x, y) in GL_n^2 : x^-1 y^-1 x y = zeta I} as |GL_n| k(GL_(n/d)), with
+    k(GL_m) = sum_{lam |- m} prod_k q^(k-1) (q - 1) over the part
+    multiplicities k of lam; 0 where d does not divide n.
+    """
+    if n % d:
+        return QPoly()
+    terms = []
+    for lam in cs.partitions(n // d):
+        term = cs._q_power(0)
+        for k in Counter(lam).values():
+            term = term.shift(k - 1).mul_q_power_minus_one(1)
+        terms.append(term)
+    return cs._gl_order_poly(n) * QPoly.sum(terms)
 
 
 def _type_multiplicity(ctype, kind_count):

@@ -497,36 +497,54 @@ def test_threads_do_not_change_counts():
     assert cs.count_w(2, F3, z, "class", threads=4) == 18
 
 
-def test_limit_exceeded():
+def test_limit_exceeded(monkeypatch):
     tiny = cs.CensusLimits(max_brute=100)
     with pytest.raises(LimitExceeded):
         cs.count_lie_pairs(2, F5, 1, "brute", tiny)
     with pytest.raises(LimitExceeded):
         cs.count_w(3, F5, F5.el(4), "brute", tiny)
-    # Lie and commuting class counts are bounded by the partition sum's
-    # p(n) * n steps, which do not depend on q
+    # class counts are bounded by the term pairs S their products multiply,
+    # S m^4 / 10^5 steps in a build of size m, which do not depend on q:
+    # m = n for commuting, n/p for Lie and n/d for group pairs, whose
+    # factor |GL_n| / |GL_m| or |GL_n| adds one pair at n.  Under a limit of
+    # 3 commuting pairs refuse n = 9 and accept n = 8, and Lie (p = 2) and
+    # group (d = 2) pairs refuse n = 18 and accept n = 16
     three = cs.CensusLimits(max_classes=3)
     with pytest.raises(LimitExceeded):
-        cs.count_lie_pairs(4, F2, 1, "class", three)
+        cs.count_lie_pairs(18, F2, 1, "class", three)
+    assert cs.point_count_polynomial("lie", 16, p=2, limits=three).degree == 264
     with pytest.raises(LimitExceeded):
-        cs.count_commuting_pairs(4, F2, "class", three)
-    # refused from the partition count alone, before any partition is
-    # listed; n = 31 is the first size over the default limit
-    for n in (31, 40):
-        with pytest.raises(LimitExceeded):
-            cs.count_commuting_pairs(n, F2)
-        with pytest.raises(LimitExceeded):
+        cs.count_commuting_pairs(9, F2, "class", three)
+    with pytest.raises(LimitExceeded):
+        cs.point_count_polynomial("commuting", 9, limits=three)
+    assert cs.point_count_polynomial("commuting", 8, limits=three).degree == 72
+    with pytest.raises(LimitExceeded):
+        cs.point_count_polynomial("group", 18, d=2, limits=three)
+    with pytest.raises(LimitExceeded):
+        cs.count_group_pairs(18, F5, gf.root_of_unity(F5, 2), "class", three)
+    assert cs.point_count_polynomial("group", 16, d=2, limits=three).degree == 264
+    # the default limit, with stubs in place of the builds so that only the
+    # gate runs: commuting pairs are refused from n = 50, from the supports
+    # alone, and every size the partition-sum gate (p(m) m steps) accepted
+    # is still accepted: Lie and commuting n <= 30, group n/d <= 30
+    with monkeypatch.context() as stub:
+        stub.setattr(cs, "_lie_polynomial", lambda n, p: cs.QPoly((1,)))
+        stub.setattr(cs, "_group_polynomial", lambda n, d: cs.QPoly((1,)))
+        for n in (50, 60):
+            with pytest.raises(LimitExceeded):
+                cs.count_commuting_pairs(n, F2)
+            with pytest.raises(LimitExceeded):
+                cs.point_count_polynomial("commuting", n)
+        assert cs.point_count_polynomial("commuting", 49) == cs.QPoly((1,))
+        for n in range(1, 31):
             cs.point_count_polynomial("commuting", n)
-    # the polynomial builds are bounded the same way
-    with pytest.raises(LimitExceeded):
-        cs.point_count_polynomial("commuting", 4, limits=three)
-    with pytest.raises(LimitExceeded):
-        cs.point_count_polynomial("group", 4, d=2, limits=three)
-    # group class counts are bounded by the partition-sum steps at n/d,
-    # p(2) * 2 = 4 here; W class counts by the term pairs S of its
-    # products times n^4 / 10^5, 253 * 12^4 / 10^5 -> 53 steps at (12, 2)
-    with pytest.raises(LimitExceeded):
-        cs.count_group_pairs(4, F5, gf.root_of_unity(F5, 2), "class", three)
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+                cs.point_count_polynomial("lie", n, p=p)
+        for n in range(1, 61):
+            for d in range(-(-n // 30), n + 1):
+                cs.point_count_polynomial("group", n, d=d)
+    # W class counts by the term pairs S of its products times n^4 / 10^5,
+    # 253 * 12^4 / 10^5 -> 53 steps at (12, 2)
     fifty = cs.CensusLimits(max_classes=50)
     with pytest.raises(LimitExceeded):
         cs.count_w(12, F5, gf.root_of_unity(F5, 2), "class", fifty)
@@ -551,8 +569,8 @@ def test_limit_exceeded():
 
 
 def test_partition_limit_message_names_n_and_limit():
-    # p(m) * m passes the default limit at m = 31, so n = 20000 is refused
-    # there, and the message names n and the limit, not the step count
+    # the fold's steps pass the default limit at m = 50, so n = 20000 is
+    # refused there, and the message names n and the limit, not the step count
     with pytest.raises(LimitExceeded) as err:
         cs.point_count_polynomial("commuting", 20000)
     assert len(str(err.value)) < 200
@@ -648,6 +666,55 @@ def test_closed_forms_equal_type_sum_reference():
             assert cs.point_count_polynomial("lie", n, p=p) == ts.type_sum(n, p), (n, p)
 
 
+def test_products_equal_partition_sums():
+    # the o-fold over part sizes and Macdonald's series against the
+    # Feit-Fine and class-number partition sums they replace
+    for n in range(1, 13):
+        assert cs.point_count_polynomial("commuting", n) == ts.feit_fine_sum(n), n
+        for d in range(1, n + 1):
+            if n % d == 0:
+                poly = cs.point_count_polynomial("group", n, d=d)
+                assert poly == ts.class_number_sum(n, d), (n, d)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 25):
+            assert cs.point_count_polynomial("lie", n, p=p) == ts.feit_fine_sum(n, p), (n, p)
+
+
+def test_gate_counts_the_pairs_the_build_multiplies(monkeypatch):
+    # each term pair of an o-product takes one K(c, a): the K calls of an
+    # uncached build equal the pairs the gate counts on supports alone
+    calls = []
+    real = cs._gl_binomial
+    monkeypatch.setattr(cs, "_gl_binomial", lambda c, a: calls.append(c) or real(c, a))
+    for n in range(1, 13):
+        calls.clear()
+        cs._lie_polynomial.__wrapped__(n, 0)
+        assert len(calls) == cs._part_fold_pairs(n), n
+        for d in range(1, n + 1):
+            if n % d == 0:
+                calls.clear()
+                cs._w_polynomial.__wrapped__(n, d)
+                assert len(calls) == cs._w_product_pairs(n, d), (n, d)
+
+
+def test_gate_counts_the_gl_factor_and_walks_divisors():
+    # the factor |GL_n| / |GL_m| is a pair at n, so group and Lie pairs are
+    # refused at large n even where the fold at m = n/d or n/p is trivial;
+    # the orbit kinds walk only the divisors of d, so W is refused as fast
+    for variety, n, p, d in (("group", 1008, 0, 1008), ("lie", 1009, 1009, 1),
+                             ("W", 20000, 0, 20000), ("group", 20000, 0, 20000)):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="n=%d exceed limit 200000" % n):
+            cs.point_count_polynomial(variety, n, p=p, d=d)
+        assert time.perf_counter() - start < 1.0, (variety, n)
+    # the divisor walk keeps the kinds and their (e, s) order
+    for n in range(1, 13):
+        for d in range(1, 13):
+            literal = [(e, s) for e in range(1, n + 1) for s in range(1, d + 1)
+                       if d % s == 0 and e % s == 0 and (d // s) * e <= n]
+            assert cs._twist_kinds(n, d) == literal, (n, d)
+
+
 def test_type_sum_equals_per_class_kernel_sum():
     # reference: the per-class sum over enumerated classes, with the
     # solution count of [A, B] = cI taken from the ad-rank elimination
@@ -692,9 +759,9 @@ def test_counts_build_field_tables_for_every_strategy():
 
 
 def test_type_sum_checks_fire_under_optimize():
-    # |GL_n| without its factor q^n - 1 leaves a partition-sum division
-    # inexact; the check must raise even where python -O strips assert
-    # statements
+    # |GL_m| without its factor q^m - 1 leaves the division of the fold's
+    # Feit-Fine term inexact, first at one part of size 1; the check must
+    # raise even where python -O strips assert statements
     src = str(Path(cs.__file__).resolve().parents[1])
     code = (
         "from commvar import census, gf\n"
@@ -712,7 +779,7 @@ def test_type_sum_checks_fire_under_optimize():
         text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "raised: q^6 is not divisible by q^2-1\n"
+    assert out.stdout == "raised: q^2 is not divisible by q^1-1\n"
 
 
 def test_count_report_schema():
