@@ -38,8 +38,7 @@ pair once; its bytes stay exactly those of json.dumps(doc, indent=2).
 
 Counts are unbounded integers end to end; dimension fitting uses Decimal
 logarithms at 50 significant digits in a private context, so the caller's
-decimal context is neither read nor changed.  The counters' threads
-parameter is accepted and ignored: every count runs in the calling thread.
+decimal context is neither read nor changed.
 """
 
 from __future__ import annotations
@@ -991,7 +990,6 @@ def count_lie_pairs(
     c,
     strategy: str = "class",
     limits: CensusLimits = DEFAULT_LIMITS,
-    threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB - BA = cI}."""
     c = spec.el(c)
@@ -1004,7 +1002,6 @@ def count_commuting_pairs(
     spec: FieldSpec,
     strategy: str = "class",
     limits: CensusLimits = DEFAULT_LIMITS,
-    threads: int = 1,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB = BA}; the c = 0 commutator count."""
     scan = functools.partial(_lie_scan, n, spec, spec.zero)
@@ -1017,7 +1014,6 @@ def count_group_pairs(
     zeta,
     strategy: str = "class",
     limits: CensusLimits = DEFAULT_LIMITS,
-    threads: int = 1,
 ) -> int:
     """#{(x, y) in GL_n(F_q)^2 : x^-1 y^-1 x y = zeta I}."""
     zeta = _unit(spec, zeta)
@@ -1055,7 +1051,6 @@ def count_w(
     zeta,
     strategy: str = "class",
     limits: CensusLimits = DEFAULT_LIMITS,
-    threads: int = 1,
 ) -> int:
     """#{x in GL_n(F_q) : x is conjugate to zeta x}."""
     zeta = _unit(spec, zeta)

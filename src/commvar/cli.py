@@ -2,8 +2,7 @@
 
 All results are emitted as a single JSON document on stdout; human-readable
 summaries go to stderr.  Runs are deterministic for a given configuration:
-all randomness flows from --seed.  --threads is accepted and ignored; every
-census runs in one thread.
+all randomness flows from --seed.
 
 Exit status: 0 all checks pass, 1 a mathematical check failed,
 2 configuration or feasibility error.
@@ -652,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact commutator-variety constructions, checks, and censuses over finite fields.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--max-classes", type=int, default=census.DEFAULT_LIMITS.max_classes)
     parser.add_argument("--max-brute", type=int, default=census.DEFAULT_LIMITS.max_brute,
                         help="brute scan limit (env %s overrides)" % ENV_MAX_BRUTE)

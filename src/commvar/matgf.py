@@ -1,12 +1,13 @@
 """Exact dense matrix algebra over a field instance.
 
 Covers commutators (Lie and group), row reduction and linear solving (one
-RREF per solve), the commutator linear system ad_A, the similarity
+RREF per solve), the commutator linear system ad_A, and the similarity
 invariants read off one Smith normal form of tI - A over F_q[t] (invariant
 factors; the minimal polynomial is the last, regularity means there is just
-one), with the row transform tracked so similarity transports are
-constructive, Jordan type over a splitting field, and regular commuting
-elements.
+one).  Tracking that SNF's row transform gives the rational canonical form
+with its transport (rcf_transform), from which similarity transports and
+regular commuting elements are both built.  Only Jordan type uses a
+splitting field.
 
 Matrix text format: rows separated by ';', entries by ',', entries in
 element text form, e.g. "0,0;1,0".
@@ -24,6 +25,7 @@ from .polyring import (
     Poly,
     padd,
     pdivmod,
+    pgcd,
     pmul,
     pnormalize,
     pscale,
@@ -671,12 +673,17 @@ def is_similar(a: Mat, b: Mat) -> bool:
     return invariant_factors(a) == invariant_factors(b)
 
 
-def _rcf_generators(a: Mat):
-    """Cyclic generators and their annihilators d_1 | ... | d_s."""
+def rcf_transform(a: Mat):
+    """(P, factors) with P^-1 A P the direct sum of companion(d_i).
+
+    One tracked SNF of tI - A: column i of the row transform's inverse,
+    evaluated at A, generates the i-th cyclic summand, annihilated by d_i,
+    and P stacks the Krylov bases g, Ag, ... of these generators.
+    """
     spec = a.spec
     n = a.n_rows
     diag, uinv = _snf_diag(spec, _char_matrix(a), track=True)
-    gens = []
+    cols = []
     factors = []
     for i, e in enumerate(diag):
         if len(e) <= 1:
@@ -692,30 +699,22 @@ def _rcf_generators(a: Mat):
                 spec.add(x, col[r][deg] if len(col[r]) > deg else 0)
                 for r, x in enumerate(v)
             )
-        gens.append(v)
-    return gens, factors
-
-
-def rcf_transform(a: Mat):
-    """(P, factors) with P^-1 A P the direct sum of companion(d_i)."""
-    spec = a.spec
-    gens, factors = _rcf_generators(a)
-    cols = []
-    for g, f in zip(gens, factors):
-        v = g
-        for _ in range(f.degree):
+        for _ in range(len(e) - 1):
             cols.append(v)
             v = a.apply(v)
-    p = Mat.from_cols(spec, cols)
-    return p, factors
+    return Mat.from_cols(spec, cols), factors
 
 
 def similarity_transform(a: Mat, b: Mat):
-    """A matrix g with g^-1 A g = B, or None when A and B are not similar."""
-    if invariant_factors(a) != invariant_factors(b):
+    """A matrix g with g^-1 A g = B, or None when A and B are not similar.
+
+    A and B are similar iff the factor lists of their rational canonical
+    forms agree; then both transports map onto the same direct sum.
+    """
+    pa, fa = rcf_transform(a)
+    pb, fb = rcf_transform(b)
+    if fa != fb:
         return None
-    pa, _ = rcf_transform(a)
-    pb, _ = rcf_transform(b)
     return pa @ pb.inverse()
 
 
@@ -777,20 +776,15 @@ def poly_at_matrix(f: Poly, a: Mat) -> Mat:
     return out
 
 
-def _splitting_extension(spec: FieldSpec, irreducibles) -> FieldSpec:
-    """The smallest extension of spec in which every given irreducible splits."""
-    k = spec.k * math.lcm(1, *(f.degree for f in irreducibles))
+def splitting_field(a: Mat):
+    """The splitting field of char(A) and the irreducible factor data."""
+    data = primary_data(a)
+    k = a.spec.k * math.lcm(1, *(f.degree for f, _ in data))
     if k > MAX_SPLITTING_DEGREE:
         raise LimitExceeded(
             "splitting field degree %d exceeds limit %d" % (k, MAX_SPLITTING_DEGREE)
         )
-    return field(spec.p, k)
-
-
-def splitting_field(a: Mat):
-    """The splitting field of char(A) and the irreducible factor data."""
-    data = primary_data(a)
-    return _splitting_extension(a.spec, [f for f, _ in data]), data
+    return field(a.spec.p, k), data
 
 
 def jordan_type(a: Mat) -> JordanType:
@@ -813,61 +807,6 @@ def jordan_type(a: Mat) -> JordanType:
     return JordanType(ext, tuple(entries))
 
 
-def jordan_transform(a: Mat):
-    """(P, J, blocks, ext): P^-1 (A over ext) P = J in upper Jordan form.
-
-    blocks is the list of (eigenvalue, size) in the order they appear in J.
-    The cyclic generators come from one tracked SNF over A's own field: the
-    embedding into ext is a ring map, so the SNF over ext is its image.
-    """
-    gens, factors = _rcf_generators(a)
-    ext = _splitting_extension(a.spec, [f for f, _ in polyring.factor(factors[-1])])
-    lift = [embed(x, ext).idx for x in a.spec.elements()]
-    a_e = embed_mat(a, ext)
-    gens = [tuple(lift[x] for x in g) for g in gens]
-    factors = [Poly(ext, [lift[c] for c in f.coeffs]) for f in factors]
-    cols = []
-    blocks = []
-    for g, d in zip(gens, factors):
-        for lam, mult in _linear_factorization(d):
-            cof = d // (Poly.from_coeffs(ext, [-lam, ext.one]) ** mult)
-            h = poly_at_matrix(cof, a_e).apply(g)
-            shift = a_e - Mat.scalar(ext, a_e.n_rows, lam)
-            chain = [h]
-            for _ in range(mult - 1):
-                chain.append(shift.apply(chain[-1]))
-            cols.extend(reversed(chain))
-            blocks.append((lam, mult))
-    p = Mat.from_cols(ext, cols)
-    j = _jordan_matrix(ext, blocks)
-    return p, j, blocks, ext
-
-
-def _linear_factorization(d: Poly):
-    """Factor a polynomial that splits into linear factors; sorted by root."""
-    out = []
-    for g, m in polyring.factor(d):
-        if g.degree != 1:
-            raise MathCheckFailed("polynomial does not split over its field")
-        out.append((Fe(d.spec, d.spec.neg(g.coeffs[0])), m))
-    out.sort(key=lambda lm: lm[0].idx)
-    return out
-
-
-def _jordan_matrix(spec: FieldSpec, blocks) -> Mat:
-    n = sum(m for _, m in blocks)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
-    one = spec.one_idx
-    for lam, m in blocks:
-        for i in range(m):
-            rows[off + i][off + i] = lam.idx
-            if i + 1 < m:
-                rows[off + i][off + i + 1] = one
-        off += m
-    return Mat(spec, rows)
-
-
 # -- regularity ----------------------------------------------------------------
 
 def is_regular(a: Mat) -> bool:
@@ -881,27 +820,48 @@ def is_regular(a: Mat) -> bool:
 
 
 def regular_commuting(a: Mat) -> Mat:
-    """A regular matrix commuting with A.
+    """A regular matrix commuting with A, over the first field of degree
+    k, 2k, ... over F_p (A's field has degree k) where the greedy pick below
+    finds its s shifts.
 
-    Construction: bring A to Jordan form over the splitting field, replace
-    each Jordan block J of eigenvalue lam by (mu - lam) I + J with pairwise
-    distinct shifts mu, and conjugate back.  The field is extended further
-    (transparently) when it has fewer elements than there are blocks: P and
-    the eigenvalues are embedded into it, a ring map, so P^-1 A P = J there too.
+    Construction: rcf_transform gives P with P^-1 A P = C_1 + ... + C_s,
+    C_i = companion(d_i), d_1 | ... | d_s.  Each C_i becomes C_i + mu_i I,
+    a polynomial in C_i, so R = P (sum of the shifted blocks) P^-1 commutes
+    with A.  The mu_i are picked greedily in canonical element order with
+    gcd(d_s(t), d_s(t + mu_i - mu_j)) = 1 for every pair.  Block i is cyclic
+    with minimal polynomial d_i(t - mu_i), which divides d_s(t - mu_i), so
+    the blocks' minimal polynomials are pairwise coprime; a direct sum of
+    cyclic blocks with pairwise coprime minimal polynomials is cyclic, so R
+    is regular.  A regular A is returned as it is (s = 1, mu_1 = 0).
     """
-    p, _, blocks, ext = jordan_transform(a)
-    if ext.q < len(blocks):
-        # need at least one distinct shift per block
-        grow = 2
-        while ext.q**grow < len(blocks):
-            grow += 1
-        ext = field(ext.p, ext.k * grow)
-        p = embed_mat(p, ext)
-        blocks = [(embed(lam, ext), m) for lam, m in blocks]
-    shifted = []
-    for mu_idx, (lam, m) in enumerate(blocks):
-        mu = Fe(ext, mu_idx)
-        block = _jordan_matrix(ext, [(lam, m)]) + Mat.scalar(ext, m, mu - lam)
-        shifted.append(block)
-    r_j = block_diag(ext, shifted)
-    return p @ r_j @ p.inverse()
+    p, factors = rcf_transform(a)
+    spec = a.spec
+    shifts, k = [], 0
+    while len(shifts) < len(factors):
+        k += spec.k
+        ext = field(spec.p, k)
+        lifted = [Poly(ext, [embed(Fe(spec, c), ext).idx for c in f.coeffs]) for f in factors]
+        top = lifted[-1].coeffs
+        shifts = []
+        for mu in range(ext.q):
+            if all(
+                len(pgcd(ext, top, _taylor_shift(ext, top, ext.sub(mu, nu)))) == 1
+                for nu in shifts
+            ):
+                shifts.append(mu)
+                if len(shifts) == len(factors):
+                    break
+    blocks = [
+        companion(f) + Mat.scalar(ext, f.degree, Fe(ext, mu))
+        for f, mu in zip(lifted, shifts)
+    ]
+    p = embed_mat(p, ext)
+    return p @ block_diag(ext, blocks) @ p.inverse()
+
+
+def _taylor_shift(spec: FieldSpec, f, c: int):
+    """f(t + c) on coefficient tuples (Horner)."""
+    out = ()
+    for x in reversed(f):
+        out = padd(spec, pmul(spec, out, (c, spec.one_idx)), (x,))
+    return out

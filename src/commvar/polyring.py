@@ -459,9 +459,7 @@ def _moebius(n: int) -> int:
     return mu
 
 
-def irreducibles_of_degree(
-    spec: FieldSpec, d: int, limit: int = DEFAULT_ENUM_LIMIT
-):
+def irreducibles_of_degree(spec: FieldSpec, d: int):
     """All monic irreducibles of degree d, in canonical order.
 
     A sieve: the monics of degree d that are no product of a monic
@@ -469,9 +467,10 @@ def irreducibles_of_degree(
     """
     if d < 1:
         raise ValueError("degree must be positive")
-    if spec.q**d > limit:
+    if spec.q**d > DEFAULT_ENUM_LIMIT:
         raise LimitExceeded(
-            "enumeration too large: %d candidates exceed limit %d" % (spec.q**d, limit)
+            "enumeration too large: %d candidates exceed limit %d"
+            % (spec.q**d, DEFAULT_ENUM_LIMIT)
         )
     q, one = spec.q, spec.one_idx
 
@@ -480,7 +479,7 @@ def irreducibles_of_degree(
 
     reducible = bytearray(q**d)  # flags by position in canonical order
     for e in range(1, d // 2 + 1):
-        for f in irreducibles_of_degree(spec, e, limit):
+        for f in irreducibles_of_degree(spec, e):
             for g in monics(d - e):
                 rank = 0
                 for c in pmul(spec, f.coeffs, g)[:-1]:

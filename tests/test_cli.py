@@ -379,13 +379,6 @@ def test_byte_identical_output_for_identical_config(capsys):
     assert out1 == out2
 
 
-def test_threads_do_not_change_output(capsys):
-    base = ["count", "commuting", "--n", "2", "--qs", "2,4"]
-    _, out1, _ = run(capsys, ["--threads", "1"] + base)
-    _, out4, _ = run(capsys, ["--threads", "4"] + base)
-    assert out1 == out4
-
-
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["--output", str(path), "dims", "lie", "--p", "2", "--n", "4"])

@@ -223,21 +223,23 @@ def test_one_snf_per_similarity_question_and_one_rref_per_solve(monkeypatch):
     for spec in (F2, F3, F4):
         for _ in range(5):
             a = random_mat(spec, 3, rng)
-            for question in (mg.jordan_type, mg.splitting_field, mg.jordan_transform):
+            questions = (mg.jordan_type, mg.splitting_field, mg.rcf_transform, mg.regular_commuting)
+            for question in questions:
                 calls["snf"] = 0
                 question(a)
                 assert calls["snf"] == 1, question.__name__
-            _, _, blocks, ext = mg.jordan_transform(a)
-            if ext.q >= len(blocks):  # no field growth for distinct shifts
+            # two SNFs per similarity transport, similar pair or not
+            other = mg.Mat.identity(spec, 3) if a.is_zero else mg.Mat.zeros(spec, 3, 3)
+            for b, similar in ((a.transpose(), True), (other, False)):
                 calls["snf"] = 0
-                mg.regular_commuting(a)
-                assert calls["snf"] == 1
+                assert (mg.similarity_transform(a, b) is not None) == similar
+                assert calls["snf"] == 2
             x = tuple(rng.randrange(spec.q) for _ in range(3))
             for b in (a.apply(x), (1, 0, 0)):
                 calls["rref"] = 0
                 mg.solve_affine(a, b)
                 assert calls["rref"] == 1
-    # too few elements for distinct shifts: the field grows, on the same SNF
+    # too few elements for the shifts: the field grows, on the same SNF
     for zero, grown in ((mg.Mat.zeros(F2, 3, 3), 4), (mg.Mat.zeros(F3, 4, 4), 9)):
         calls["snf"] = 0
         r = mg.regular_commuting(zero)
@@ -291,7 +293,7 @@ def test_similarity_questions_reject_non_square(shape):
     a = mg.Mat(F3, [[(i + 2 * j) % 3 for j in range(cols)] for i in range(rows)])
     questions = (
         mg.rcf_transform,
-        mg.jordan_transform,
+        mg.jordan_type,
         mg.regular_commuting,
         lambda m: mg.similarity_transform(m, m),
     )
@@ -330,17 +332,6 @@ def test_jordan_type_matches_rank_sequences():
                 assert blocks_ge_j == sum(1 for s in sizes if s >= j)
 
 
-def test_jordan_transform_postcondition():
-    rng = random.Random(13)
-    for trial in range(20):
-        spec = [F2, F3, F5][trial % 3]
-        n = rng.randrange(1, 5)
-        a = random_mat(spec, n, rng)
-        p, j, blocks, ext = mg.jordan_transform(a)
-        assert p.inverse() @ mg.embed_mat(a, ext) @ p == j
-        assert sum(size for _, size in blocks) == n
-
-
 def test_is_regular_examples():
     assert mg.is_regular(mg.companion(pr.Poly.from_coeffs(F3, [1, 2, 0, 1])))
     assert not mg.is_regular(mg.Mat.identity(F3, 2))
@@ -371,6 +362,13 @@ def test_regular_commuting():
         r = mg.regular_commuting(a)
         ae = mg.embed_mat(a, r.spec)
         assert mg.is_regular(r) and ae @ r == r @ ae
+    # a splitting field of degree 35 is not needed: both stay over F_2
+    f5 = pr.irreducibles_of_degree(F2, 5)[0]
+    f7 = pr.irreducibles_of_degree(F2, 7)[0]
+    for factors in ([f5, f7], [f5, f5, f7]):
+        a = mg.block_diag(F2, [mg.companion(f) for f in factors])
+        r = mg.regular_commuting(a)
+        assert r.spec == F2 and mg.is_regular(r) and a @ r == r @ a
 
 
 def test_jordan_splitting_field_limit():

@@ -127,7 +127,7 @@ def test_irreducible_counts_match_necklace_formula():
 
 def test_enumeration_limit():
     with pytest.raises(LimitExceeded):
-        pr.irreducibles_of_degree(F5, 10, limit=1000)
+        pr.irreducibles_of_degree(F5, 10)
 
 
 def test_text_round_trip():

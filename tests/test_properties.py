@@ -57,6 +57,14 @@ def test_similarity_transform_witnesses_conjugacy(pair):
 
 
 @properties
+@given(matrices())
+def test_regular_commuting_is_regular_and_commutes(a):
+    r = mg.regular_commuting(a)
+    ae = mg.embed_mat(a, r.spec)
+    assert mg.is_regular(r) and ae @ r == r @ ae
+
+
+@properties
 @given(st.sampled_from([(n, spec) for n in (1, 2, 3) for spec in FIELDS] + [(4, FIELDS[0])]))
 def test_class_sizes_sum_to_matrix_and_group_orders(case):
     n, spec = case
