@@ -590,10 +590,13 @@ def _part_fold(n: int, term, weight) -> QPoly:
     return total[n]
 
 
-def _part_fold_pairs(n: int) -> int:
-    """How many term pairs _part_fold(n, ...) multiplies: its loop on supports alone."""
+def _part_fold_pairs(n: int, budget=math.inf) -> int:
+    """How many term pairs _part_fold(n, ...) multiplies: its loop on supports
+    alone, cut short once the count passes budget."""
     pairs, total = 0, {0}
     for i in range(1, n + 1):
+        if pairs > budget:
+            break
         count, total = _sums(total, range(0, n + 1, i), n, i + 1)
         pairs += count
     return pairs
@@ -636,14 +639,17 @@ def _w_polynomial(n: int, d: int) -> QPoly:
     return total.get(n, QPoly())
 
 
-def _w_product_pairs(n: int, d: int) -> int:
-    """How many term pairs _w_polynomial(n, d) multiplies: its loops on supports alone."""
+def _w_product_pairs(n: int, d: int, budget=math.inf) -> int:
+    """How many term pairs _w_polynomial(n, d) multiplies: its loops on
+    supports alone, cut short once the count passes budget."""
     pairs, total = 0, {0}
     for e, s in _twist_kinds(n, d):
         w = (d // s) * e
         one_orbit = range(w, n + 1, w)
         series = power = {0}
         for _ in one_orbit:
+            if pairs > budget:
+                return pairs
             count, power = _sums(power, one_orbit, n)
             pairs += count
             series = series | power.keys()
@@ -688,16 +694,20 @@ def point_count_polynomial(
 
 
 def _check_build_steps(variety: str, n: int, divisor: int, limits: CensusLimits) -> None:
-    """Refuse a build over limits.max_classes steps, counted on supports alone:
-    m^4 / 10^5 per term pair a build of size m multiplies (_sums), one pair at n
-    for the factor |GL_n| / |GL_m| of Lie and group pairs; steps grow with m."""
+    """Refuse a build over limits.max_classes steps, counted on supports alone
+    at its own size m (n for W, n / divisor otherwise): m^4 / 10^5 per term
+    pair it multiplies (_sums), one pair at n for the factor |GL_n| / |GL_m|
+    of Lie and group pairs.  Steps do not decrease with m, so the smaller
+    sizes a build passes through need no check; the pair count stops once
+    it passes the limit's budget, so a large n is refused at once."""
+    m = n if variety == "W" else n // divisor
     factor = n**4 if variety in ("lie", "group") else 0
-    for m in range(divisor, n + 1, divisor) if variety == "W" else range(1, n // divisor + 1):
-        pairs = _w_product_pairs(m, divisor) if variety == "W" else _part_fold_pairs(m)
-        if -(-(factor + pairs * m**4) // 10**5) > limits.max_classes:
-            raise LimitExceeded(
-                "%s product steps at n=%d exceed limit %d" % (variety, n, limits.max_classes)
-            )
+    budget = (limits.max_classes * 10**5 - factor) // m**4
+    pairs = _w_product_pairs(m, divisor, budget) if variety == "W" else _part_fold_pairs(m, budget)
+    if pairs > budget:
+        raise LimitExceeded(
+            "%s product steps at n=%d exceed limit %d" % (variety, n, limits.max_classes)
+        )
 
 
 def _value_at(poly: QPoly, q: int) -> int:
@@ -1004,8 +1014,7 @@ def count_commuting_pairs(
     limits: CensusLimits = DEFAULT_LIMITS,
 ) -> int:
     """#{(A, B) in M_n(F_q)^2 : AB = BA}; the c = 0 commutator count."""
-    scan = functools.partial(_lie_scan, n, spec, spec.zero)
-    return _count("commuting", n, spec, strategy, limits, scan)
+    return count_lie_pairs(n, spec, 0, strategy, limits)
 
 
 def count_group_pairs(

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from decimal import Decimal
 
 from . import census, gf, matgf, polyring, typea_group, weyl
 from .errors import LimitExceeded, MathCheckFailed
-
-ENV_MAX_BRUTE = "COMMVAR_MAX_BRUTE"
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -43,11 +40,7 @@ def _field_from_q(q: int) -> gf.FieldSpec:
 
 
 def _limits(args) -> census.CensusLimits:
-    max_brute = args.max_brute
-    env = os.environ.get(ENV_MAX_BRUTE)
-    if env is not None:
-        max_brute = int(env)
-    return census.CensusLimits(max_classes=args.max_classes, max_brute=max_brute)
+    return census.CensusLimits(max_classes=args.max_classes, max_brute=args.max_brute)
 
 
 def _emit(doc: dict, args) -> None:
@@ -242,23 +235,22 @@ def _suite_weyl(args, limits) -> list[dict]:
         )
     except (ValueError, AssertionError) as exc:
         checks.append(_check("solution_family", "fail", error=str(exc)))
-    # block size divisibility for sampled solutions
-    try:
-        bad = 0
-        for a, b in weyl.sample_solution_pairs(spec, args.r, 25, seed=args.seed):
-            for m in (a, b):
-                if any(s % spec.p for s in matgf.jordan_type(m).all_sizes()):
-                    bad += 1
-        checks.append(
-            _check(
-                "block_divisibility",
-                "pass" if bad == 0 else "fail",
-                samples=25,
-                violations=bad,
-            )
+    # block size divisibility for sampled solutions: the Jordan block sizes
+    # of an eigenvalue are the partition of its irreducible in primary_data,
+    # so no splitting field is built
+    bad = 0
+    for a, b in weyl.sample_solution_pairs(spec, args.r, 25, seed=args.seed):
+        for m in (a, b):
+            if any(s % spec.p for _, parts in matgf.primary_data(m) for s in parts):
+                bad += 1
+    checks.append(
+        _check(
+            "block_divisibility",
+            "pass" if bad == 0 else "fail",
+            samples=25,
+            violations=bad,
         )
-    except LimitExceeded as exc:
-        checks.append(_check("block_divisibility", "skipped", reason=str(exc)))
+    )
     return checks
 
 
@@ -276,10 +268,7 @@ def _suite_group(args, limits) -> list[dict]:
     m = args.n // args.d
     bad = 0
     for _ in range(5):
-        while True:
-            a = matgf.Mat(spec, [[rng.randrange(spec.q) for _ in range(m)] for _ in range(m)])
-            if a.is_invertible():
-                break
+        a = matgf.random_matrix(spec, m, rng, invertible=True)
         if not typea_group.verify_central_commutator(inst, a).ok:
             bad += 1
     checks.append(
@@ -314,13 +303,7 @@ def _suite_group(args, limits) -> list[dict]:
         bad = 0
         tried = 0
         for _ in range(10):
-            while True:
-                x = matgf.Mat(
-                    spec,
-                    [[rng.randrange(spec.q) for _ in range(args.n)] for _ in range(args.n)],
-                )
-                if x.is_invertible():
-                    break
+            x = matgf.random_matrix(spec, args.n, rng, invertible=True)
             coset = typea_group.solution_set_for_x(x, inst.zeta)
             if coset is None:
                 continue
@@ -389,7 +372,7 @@ def _suite_canon(args, limits) -> list[dict]:
     spec = _field_from_q(args.q)
     bad = 0
     for _ in range(10):
-        a = matgf.Mat(spec, [[rng.randrange(spec.q) for _ in range(3)] for _ in range(3)])
+        a = matgf.random_matrix(spec, 3, rng)
         jt = matgf.jordan_type(a)
         ae = matgf.embed_mat(a, jt.spec)
         for lam, sizes in jt.entries:
@@ -409,7 +392,7 @@ def _suite_canon(args, limits) -> list[dict]:
         if matgf.is_regular(a) != (matgf.centralizer_dimension(a) == 2):
             bad += 1
     for _ in range(10):
-        a = matgf.Mat(spec, [[rng.randrange(spec.q) for _ in range(3)] for _ in range(3)])
+        a = matgf.random_matrix(spec, 3, rng)
         if matgf.is_regular(a) != (matgf.centralizer_dimension(a) == 3):
             bad += 1
     checks.append(
@@ -419,21 +402,18 @@ def _suite_canon(args, limits) -> list[dict]:
     return checks
 
 
+_SUITES = {
+    "weyl": _suite_weyl,
+    "group": _suite_group,
+    "lie-trace": _suite_lie_trace,
+    "canon": _suite_canon,
+}
+
+
 def _cmd_verify(args) -> int:
     limits = _limits(args)
-    suites = (
-        ["weyl", "group", "lie-trace", "canon"] if args.suite == "all" else [args.suite]
-    )
-    checks = []
-    for suite in suites:
-        if suite == "weyl":
-            checks.extend(_suite_weyl(args, limits))
-        elif suite == "group":
-            checks.extend(_suite_group(args, limits))
-        elif suite == "lie-trace":
-            checks.extend(_suite_lie_trace(args, limits))
-        elif suite == "canon":
-            checks.extend(_suite_canon(args, limits))
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    checks = [c for suite in suites for c in _SUITES[suite](args, limits)]
     ok = all(c["status"] != "fail" for c in checks)
     doc = {
         "command": "verify",
@@ -466,7 +446,6 @@ def _cmd_count(args) -> int:
     fit_points = []
     p_char = None
     extra = {}
-    poly_variety = args.variety
     for q in qs:
         spec = _field_from_q(q)
         if args.p and spec.p != args.p:
@@ -476,42 +455,29 @@ def _cmd_count(args) -> int:
         elif spec.p != p_char:
             raise ValueError("all field sizes must share one characteristic")
         for strategy in strategies:
-            if args.variety == "lie":
-                c = spec.parse(args.c) if args.c else spec.one
-                poly_variety = "lie" if c else "commuting"
-                value = census.count_lie_pairs(
-                    args.n, spec, c, strategy, limits
-                )
-            elif args.variety == "commuting":
-                value = census.count_commuting_pairs(
-                    args.n, spec, strategy, limits
-                )
+            if args.variety in ("lie", "commuting"):
+                c = spec.one if args.variety == "lie" else spec.zero
+                value = census.count_lie_pairs(args.n, spec, c, strategy, limits)
             else:
                 # refuses d not dividing n: det(zeta x) = zeta^n det(x), so
                 # both varieties are empty there
                 zeta = typea_group.zeta_instance(spec, args.n, args.d).zeta
                 extra["d"] = args.d
                 extra.setdefault("zeta", {})[str(q)] = str(zeta)
-                if args.variety == "group":
-                    value = census.count_group_pairs(
-                        args.n, spec, zeta, strategy, limits
-                    )
-                else:  # W
-                    value = census.count_w(
-                        args.n, spec, zeta, strategy, limits
-                    )
+                counter = census.count_group_pairs if args.variety == "group" else census.count_w
+                value = counter(args.n, spec, zeta, strategy, limits)
             counts.append((q, value, strategy))
         fit_points.append((q, counts[-1][1]))
     # the exact polynomial must reproduce every count, whatever its strategy;
     # the class strategy evaluates it, so this checks brute against class
-    poly = census.point_count_polynomial(poly_variety, args.n, p_char, args.d, limits)
+    poly = census.point_count_polynomial(args.variety, args.n, p_char, args.d, limits)
     for q, value, strategy in counts:
         if poly(q) != value:
             raise MathCheckFailed(
                 "%s count %s at q=%d differs from the point-count polynomial %s"
                 % (strategy, Decimal(value), q, poly)
             )
-    expected = _expected_dimension(poly_variety, args.n, args.d, p_char)
+    expected = _expected_dimension(args.variety, args.n, args.d, p_char)
     # an empty variety (all counts 0) has no growth exponent to fit
     fittable = len(fit_points) >= 2 and all(count for _, count in fit_points)
     fit = census.estimate_dimension(fit_points) if fittable else None
@@ -558,16 +524,16 @@ def _expect_failure(expected, fit, fit_points) -> str | None:
 
 
 def _expected_dimension(variety, n, d, p_char) -> int | None:
-    """The formula's dimension of the variety counted ("commuting" when c = 0)."""
+    """The dimension of the variety counted, as `dims` prints it; None where
+    the trace obstruction leaves the Lie variety empty (p does not divide n)."""
+    if variety == "commuting":
+        return n * n + n
     if variety == "lie":
         if n % p_char:
             return None
-        return n * n + n // p_char
-    if variety == "commuting":
-        return n * n + n
-    if variety == "group":
-        return n * n + n // d
-    return n * n + n // d - n
+        return weyl.component_dimensions(p_char, n).dim_scalar_commutator
+    dims = typea_group.group_dims(n, d)
+    return dims.dim_pairs if variety == "group" else dims.dim_twisted_classes
 
 
 # -- classes and dims ---------------------------------------------------------------
@@ -653,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     parser.add_argument("--max-classes", type=int, default=census.DEFAULT_LIMITS.max_classes)
     parser.add_argument("--max-brute", type=int, default=census.DEFAULT_LIMITS.max_brute,
-                        help="brute scan limit (env %s overrides)" % ENV_MAX_BRUTE)
+                        help="brute scan limit")
     parser.add_argument("--output", help="also write the JSON document to this path")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -674,8 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("--suite", choices=["weyl", "group", "lie-trace", "canon", "all"],
-                   required=True)
+    v.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
     v.add_argument("--p", type=int, default=2)
     v.add_argument("--k", type=int, default=1)
     v.add_argument("--r", type=int, default=2)
@@ -690,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--p", type=int, default=0,
                     help="declared characteristic; every q must be a power of it")
     ct.add_argument("--qs", required=True, help="comma-separated field sizes")
-    ct.add_argument("--c", default="", help="scalar c for the lie variety (default 1)")
     ct.add_argument("--d", type=int, default=2, help="order of zeta for group/W")
     ct.add_argument("--strategy", choices=["class", "brute", "both"], default="class")
     ct.add_argument("--expect", action="store_true",

@@ -287,6 +287,15 @@ def companion(f: Poly) -> Mat:
     return Mat(spec, rows)
 
 
+def random_matrix(spec: FieldSpec, n: int, rng, invertible: bool = False) -> Mat:
+    """An n x n matrix of rng.randrange(q) entries drawn in row-major order;
+    with invertible, redrawn until it is invertible."""
+    while True:
+        m = Mat(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)])
+        if not invertible or m.is_invertible():
+            return m
+
+
 # -- commutators -------------------------------------------------------------
 
 def lie_commutator(a: Mat, b: Mat) -> Mat:

@@ -25,6 +25,7 @@ from .matgf import (
     is_regular,
     lie_commutator,
     poly_at_matrix,
+    random_matrix,
     rank,
     solve_affine,
     vec,
@@ -359,10 +360,7 @@ def sample_solution_pairs(spec: FieldSpec, r: int, count: int, seed: int = 0):
         pair = build_block_pair(spec, r, scalars)
         f = Poly(spec, tuple(rng.randrange(spec.q) for _ in range(n)))
         y2 = pair.y + poly_at_matrix(f, pair.x)
-        while True:
-            g = Mat(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)])
-            if g.is_invertible():
-                break
+        g = random_matrix(spec, n, rng, invertible=True)
         gi = g.inverse()
         out.append((g @ pair.x @ gi, g @ y2 @ gi))
     return out

@@ -490,7 +490,7 @@ def test_twist_poly():
     assert cs.twist_poly(g, zeta) == f
 
 
-def test_threads_do_not_change_counts():
+def test_class_count_examples():
     assert cs.count_lie_pairs(2, F4, 1, "class") == 960
     assert cs.count_commuting_pairs(3, F2, "class") == 7456
     z = gf.root_of_unity(F3, 2)
@@ -569,8 +569,8 @@ def test_limit_exceeded(monkeypatch):
 
 
 def test_partition_limit_message_names_n_and_limit():
-    # the fold's steps pass the default limit at m = 50, so n = 20000 is
-    # refused there, and the message names n and the limit, not the step count
+    # n = 20000 is refused once the fold's pair count passes its budget, and
+    # the message names n and the limit, not the step count
     with pytest.raises(LimitExceeded) as err:
         cs.point_count_polynomial("commuting", 20000)
     assert len(str(err.value)) < 200
@@ -695,6 +695,28 @@ def test_gate_counts_the_pairs_the_build_multiplies(monkeypatch):
                 calls.clear()
                 cs._w_polynomial.__wrapped__(n, d)
                 assert len(calls) == cs._w_product_pairs(n, d), (n, d)
+
+
+def test_gate_steps_do_not_decrease_with_size():
+    # the gate counts a build's steps at its own size m alone, which is
+    # sound because no smaller size the build passes through takes more
+    fold = [cs._part_fold_pairs(m) * m**4 for m in range(1, 51)]
+    assert fold == sorted(fold)
+    for d in (1, 2, 3):
+        steps = [cs._w_product_pairs(m, d) * m**4 for m in range(d, 49, d)]
+        assert steps == sorted(steps), d
+
+
+def test_gate_budget_cuts_the_count_short_without_changing_the_decision():
+    for n in range(1, 25):
+        full = cs._part_fold_pairs(n)
+        for budget in (-1, 0, full // 3, full - 1, full):
+            assert (cs._part_fold_pairs(n, budget) > budget) == (full > budget), (n, budget)
+        for d in (1, 2, 3):
+            full = cs._w_product_pairs(n, d)
+            for budget in (-1, 0, full // 3, full - 1, full):
+                cut = cs._w_product_pairs(n, d, budget)
+                assert (cut > budget) == (full > budget), (n, d, budget)
 
 
 def test_gate_counts_the_gl_factor_and_walks_divisors():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from commvar import census, cli
+from commvar import census, cli, matgf
 
 
 def run(capsys, argv):
@@ -54,6 +54,19 @@ def test_construct_splitpair(capsys):
     assert code == 0
     assert doc["joint_centralizer_dimension"] == 2
     assert doc["scalar_pairs_distinct"] is True
+
+
+@pytest.mark.parametrize("argv", [["--p", "3", "--r", "2"], ["--p", "2", "--k", "2", "--r", "3"]])
+def test_verify_weyl_builds_no_splitting_field(capsys, monkeypatch, argv):
+    # block_divisibility reads the block sizes off primary_data's partitions
+    def refuse(*args):
+        raise RuntimeError("the weyl suite must not build a splitting field")
+
+    monkeypatch.setattr(matgf, "jordan_type", refuse)
+    monkeypatch.setattr(matgf, "splitting_field", refuse)
+    code, doc = run_json(capsys, ["verify", "--suite", "weyl"] + argv)
+    assert code == 0
+    assert [c["status"] for c in doc["checks"]] == ["pass"] * 3
 
 
 def test_verify_suites(capsys):
@@ -169,14 +182,21 @@ def test_count_empty_lie_variety_with_expect(capsys):
 
 
 @pytest.mark.parametrize("p,qs", [("2", "2,4"), ("3", "3,9")])
-def test_count_lie_c0_expects_commuting_dimension(capsys, p, qs):
-    # c = 0 counts the commuting variety, of dimension n^2 + n in every
-    # characteristic
+def test_count_commuting_expects_its_dimension_in_every_characteristic(capsys, p, qs):
+    # the commuting variety, [A, B] = cI at c = 0, has dimension n^2 + n
     code, doc = run_json(
-        capsys, ["count", "lie", "--p", p, "--n", "2", "--qs", qs, "--c", "0", "--expect"]
+        capsys, ["count", "commuting", "--p", p, "--n", "2", "--qs", qs, "--expect"]
     )
     assert code == 0
     assert doc["expected_dimension"] == 6 and doc["match"] is True
+
+
+def test_count_lie_rejects_c(capsys):
+    # every c != 0 gives the c = 1 count (B -> cB), and c = 0 is `count commuting`
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "lie", "--p", "2", "--n", "2", "--qs", "2,4", "--c", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --c" in capsys.readouterr().err
 
 
 def test_count_expect_single_q_says_why(capsys):
@@ -292,6 +312,18 @@ def test_src_raises_no_bare_assertion_error():
     assert offenders == []
 
 
+def test_src_reads_no_environment():
+    # every setting comes from the command line or an explicit argument
+    src = Path(cli.__file__).parent
+    offenders = [
+        "%s:%d" % (path.name, i)
+        for path in sorted(src.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if "environ" in line or "getenv" in line
+    ]
+    assert offenders == []
+
+
 def test_dims_commands(capsys):
     code, doc = run_json(capsys, ["dims", "lie", "--p", "2", "--n", "2"])
     assert code == 0
@@ -354,17 +386,14 @@ def test_prime_power_rejects(q):
         cli._prime_power(q)
 
 
-def test_env_var_overrides_brute_limit(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_BRUTE, "10")
-    code, _, _ = run(
-        capsys, ["count", "lie", "--n", "2", "--qs", "2,4", "--strategy", "brute"]
-    )
-    assert code == 2
-    monkeypatch.setenv(cli.ENV_MAX_BRUTE, str(1 << 26))
-    code, _, _ = run(
-        capsys, ["count", "lie", "--n", "2", "--qs", "2,4", "--strategy", "brute"]
-    )
+def test_env_var_does_not_set_brute_limit(capsys, monkeypatch):
+    # --max-brute is the one way to set the brute limit
+    monkeypatch.setenv("COMMVAR_MAX_BRUTE", "10")
+    argv = ["count", "lie", "--n", "2", "--qs", "2,4", "--strategy", "brute"]
+    code, _, _ = run(capsys, argv)
     assert code == 0
+    code, _, err = run(capsys, ["--max-brute", "10"] + argv)
+    assert code == 2 and "exceeds limit 10" in err
 
 
 def test_byte_identical_output_for_identical_config(capsys):

@@ -388,3 +388,20 @@ def test_matrix_text_round_trip():
     assert mg.Mat.from_text(F4, b.to_text()) == b
     for m in all_mats(F3, 2):
         assert mg.Mat.from_text(F3, m.to_text()) == m
+
+
+@pytest.mark.parametrize("seed", [0, 5, 7])
+def test_random_matrix_draws_row_major_and_redraws_until_invertible(seed):
+    # the reference draws n^2 entries in one flat run and slices it into rows
+    for spec in (F2, F3, F4, F5):
+        for n in (1, 2, 3):
+            for invertible in (False, True):
+                rng, ref = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    while True:
+                        flat = [ref.randrange(spec.q) for _ in range(n * n)]
+                        expect = mg.Mat(spec, [flat[i * n : (i + 1) * n] for i in range(n)])
+                        if not invertible or expect.is_invertible():
+                            break
+                    assert mg.random_matrix(spec, n, rng, invertible) == expect
+                assert rng.getstate() == ref.getstate()

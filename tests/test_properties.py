@@ -7,10 +7,11 @@ same cases and the module stays fast.
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import _literal_scan as ls  # noqa: E402
 from commvar import census as cs, gf, matgf as mg  # noqa: E402
+from commvar.polyring import Poly  # noqa: E402
 
 FIELDS = [gf.field(2), gf.field(3), gf.field(2, 2), gf.field(5), gf.field(7), gf.field(3, 2)]
 
@@ -56,8 +57,17 @@ def test_similarity_transform_witnesses_conjugacy(pair):
     assert w.inverse() @ a @ w == b
 
 
+# companion(t) + companion(t(t + 1)) over F_2: the distinct shifts 0 and 1
+# leave the roots {0} and {1, 0}, which share 0, so only the coprimality
+# test keeps the result regular; random draws rarely hit such a matrix
+_SHIFTED_ROOT = mg.block_diag(
+    FIELDS[0], [mg.companion(Poly.from_coeffs(FIELDS[0], c)) for c in ([0, 1], [0, 1, 1])]
+)
+
+
 @properties
 @given(matrices())
+@example(_SHIFTED_ROOT)
 def test_regular_commuting_is_regular_and_commutes(a):
     r = mg.regular_commuting(a)
     ae = mg.embed_mat(a, r.spec)
