@@ -5,22 +5,22 @@ the twisted-class locus {x : x conjugate to zeta x}, by two strategies
 that the four counters reach through one dispatch (_count):
 
 * brute: one scan per count behind one gate, q^(n^2) <= limits.max_brute
-  (the group scan also caps its |GL_n|^2 pairs), of one matrix per scalar
-  orbit times the orbit size.  ad_{A + lam I} = ad_A, so for Lie and commuting
-  pairs A runs through M_n(F_q) mod F_q I (orbits of size q) in blocks of
-  p^s matrices, one per SWAR lane: each int holds one F_p-digit of one ad
-  image for the whole block, the images read off matgf.ad_matrix
-  (_ad_digits).  A -> ad_A is linear, so the first s
-  coordinates of A give digit-plane patterns times fixed images, built
-  once, and each block adds its own matrix's images as lane broadcasts.
-  One elimination per block solves ad_A(B) = cI exactly for every lane at
-  once, over every field, and yields how many A have each rank and how
-  many of those reach cI.  For group pairs and W, y^-1 (mu x) y = zeta mu x
+  (the group scan also caps its |GL_n|^2 pairs).  The Lie, commuting and
+  W scans take blocks of p^s matrices A, one per SWAR lane: each int holds
+  one F_p-digit of one image of an F_p-linear map of A (_map_digits) for
+  the whole block.  The maps are linear in A, so the first s coordinates
+  of A give digit-plane patterns times fixed images, built once, and each
+  block adds its own matrix's images as lane broadcasts (_ad_blocks); one
+  elimination per map and block gives every lane's rank (_eliminate).
+  ad_{A + lam I} = ad_A, so for Lie and commuting pairs A runs through
+  M_n(F_q) mod F_q I (orbits of size q), and eliminating ad_A solves
+  ad_A(B) = cI exactly, over every field.  W walks all q^(n^2) matrices:
+  x ~ zeta x iff Y -> xY - zeta Yx has the rank of ad_x (Byrnes-Gauger),
+  and x is invertible iff rank x = n.  For group pairs, y^-1 (mu x) y = zeta mu x
   iff y^-1 x y = zeta x, so x runs through the invertible x mod F_q^x
   (orbits of size q - 1).  For each such x the y with xy = y(zeta x) are
   the kernel of a linear map (matgf.kernel_basis), and only the members of
-  that kernel are tested for invertibility.  W takes one Smith normal form
-  per such x: x ~ zeta x iff the twist fixes each invariant factor;
+  that kernel are tested for invertibility;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For commuting pairs it is the Feit-Fine o-fold over part sizes, for
   [A,B] = cI with c != 0 |GL_pr| / |GL_r| times the commuting polynomial at
@@ -60,7 +60,6 @@ from .matgf import (
     ad_matrix,
     block_diag,
     companion,
-    invariant_factors,
     kernel_basis,
     primary_data,
 )
@@ -185,11 +184,6 @@ def twist_poly(f: Poly, zeta: Fe) -> Poly:
         scaled[i] = spec.mul(f.coeffs[i], power)
         power = spec.mul(power, z)
     return Poly(spec, scaled)
-
-
-def _twist_fixed(x: Mat, zeta: Fe) -> bool:
-    """x ~ zeta x: the invariant factors of zeta x are the twists of x's."""
-    return all(twist_poly(f, zeta) == f for f in invariant_factors(x))
 
 
 @dataclass(frozen=True)
@@ -781,19 +775,21 @@ def _digit_table(spec: FieldSpec) -> list[list[tuple[int, ...]]]:
     return [[digits[spec.mul(x, p**t)] for x in range(spec.q)] for t in range(k)]
 
 
-def _ad_digits(a: Mat) -> list[list[int]]:
-    """The F_p-digits of ad_a on the F_p-basis matrices E_e e_t, lane order.
+def _map_digits(m: Mat) -> list[list[int]]:
+    """The F_p-digits of the F_q-linear map m on the F_p-basis, lane order.
 
-    Lane e*k + t (e = i*n + j) is the coordinate of E_e e_t.  Row e*k + t
-    holds the digits of its image: column e of matgf.ad_matrix(a) scaled by
-    e_t, with digit t' of entry e' in lane e'*k + t'.
+    Lane c*k + t is the coordinate of e_t times basis vector c (E_c for an
+    ad_matrix).  Row c*k + t holds the digits of its image: column c of m
+    scaled by e_t, with digit t' of entry r in lane r*k + t'.
     """
-    table = _digit_table(a.spec)
-    return [
-        [d for x in col for d in scaled[x]]
-        for col in zip(*ad_matrix(a).rows)
-        for scaled in table
-    ]
+    table = _digit_table(m.spec)
+    return [[d for x in col for d in scaled[x]] for col in zip(*m.rows) for scaled in table]
+
+
+def _ad_mod_scalars(a: Mat) -> Mat:
+    """ad_a on the matrices with entry (n-1, n-1) = 0: a complement of F_q I,
+    which ad_a kills, so it has the rank and the image of ad_a."""
+    return Mat(a.spec, [row[:-1] for row in ad_matrix(a).rows])
 
 
 def _lane_matrix(spec: FieldSpec, n: int, digits) -> Mat:
@@ -803,8 +799,16 @@ def _lane_matrix(spec: FieldSpec, n: int, digits) -> Mat:
     return Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
 
 
-# bits per int in a block of the brute Lie scan: p^s matrices, one per lane
+# bits per int in a block of a brute lane scan: p^s matrices, one per lane
 _BLOCK_BITS = 1 << 15
+
+
+def _block_exponent(p: int, walked: int) -> int:
+    """The largest s <= walked whose p^s lanes fit in _BLOCK_BITS bits."""
+    s, width = 0, _Lanes(p, 1).width
+    while s < walked and p ** (s + 1) * width <= _BLOCK_BITS:
+        s += 1
+    return s
 
 
 def _digit_planes(lanes: _Lanes, s: int) -> list[int]:
@@ -818,70 +822,112 @@ def _digit_planes(lanes: _Lanes, s: int) -> list[int]:
     return planes
 
 
-def _ad_blocks(spec: FieldSpec, n: int, s: int):
-    """The images of ad_A for blocks of p^s matrices A, one A per lane.
+def _ad_blocks(spec: FieldSpec, n: int, s: int, maps, walk_last: bool):
+    """The images of F_p-linear maps of A for blocks of p^s matrices A, one A per lane.
 
-    A walks the matrices whose last k lanes (entry (n-1, n-1)) are 0, one
-    per coset A + F_q I: q^(n^2 - 1) of them.  Each block is (a, rows) with
-    a the block's matrix, whose first s lanes are 0; lane l of the block is
-    A = a + the matrix whose first s lanes are the base-p digits of l.
-    rows[r][c] holds in lane l digit c of ad_A applied to the basis matrix
-    of lane r (_ad_digits), for r < n^2 k - k: the images of E_{n-1,n-1} e_t
-    are dropped, since they add with the other diagonal ones to
-    ad_A(e_t I) = 0.
-    A -> ad_A is F_p-linear, so the first s lanes contribute the digit
+    A walks all of M_n(F_q) if walk_last, otherwise the matrices whose last
+    k lanes (entry (n-1, n-1)) are 0, one per coset A + F_q I: q^(n^2 - 1)
+    of them.  Each block is (a, images) with a the block's matrix, whose
+    first s lanes are 0; lane l of the block is A = a + the matrix whose
+    first s lanes are the base-p digits of l.  images[i][r][c] holds in
+    lane l digit c of row r of _map_digits(maps[i](A)).
+    Each map is F_p-linear in A, so the first s lanes contribute the digit
     planes times the images of their basis matrices, built once, and each
-    block adds the images of ad_a as lane broadcasts.  Blocks come lazily,
-    so memory does not grow with the matrices.
+    block adds the images of a as lane broadcasts.  Blocks come lazily, so
+    memory does not grow with the matrices.
     """
     p, k = spec.p, spec.k
     cols = n * n * k
-    m = cols - k
+    fixed = 0 if walk_last else k
     lanes = _Lanes(p, p**s)
     add = lanes.add
-    inner = [[0] * cols for _ in range(m)]
+
+    def images(a):
+        return [_map_digits(f(a)) for f in maps]
+
+    def plus(rows, image, lane_digits):  # rows + lane_digits[d], d the digits of image
+        return [
+            [add(x, lane_digits[d]) if d else x for x, d in zip(row, digits)]
+            for row, digits in zip(rows, image)
+        ]
+
+    inner = images(Mat.zeros(spec, n, n))  # every digit 0, so every lane 0
     for j, plane in enumerate(_digit_planes(lanes, s)):
         multiples = [0, plane]
         while len(multiples) < p:
             multiples.append(add(multiples[-1], plane))
         basis = _lane_matrix(spec, n, [int(c == j) for c in range(cols)])
-        for row, image in zip(inner, _ad_digits(basis)):
-            for c, d in enumerate(image):
-                if d:
-                    row[c] = add(row[c], multiples[d])
+        inner = [plus(rows, image, multiples) for rows, image in zip(inner, images(basis))]
     broadcast = [d * lanes.ones for d in range(p)]
-    for outer in itertools.product(range(p), repeat=m - s):
-        a = _lane_matrix(spec, n, (0,) * s + outer + (0,) * k)
-        rows = [
-            [add(x, broadcast[d]) if d else x for x, d in zip(row, image)]
-            for row, image in zip(inner, _ad_digits(a))
-        ]
-        yield a, rows
+    for outer in itertools.product(range(p), repeat=cols - fixed - s):
+        a = _lane_matrix(spec, n, (0,) * s + outer + (0,) * fixed)
+        yield a, [plus(rows, image, broadcast) for rows, image in zip(inner, images(a))]
+
+
+def _eliminate(lanes: _Lanes, rows, goal=None) -> tuple[list[int], list[int] | None]:
+    """(counter, goal): each lane's F_p-rank of rows, and goal reduced by
+    them.  rows and goal are lists of lane ints, cleared in place.
+
+    The elimination runs column by column on every lane at once: every lane
+    takes as pivot its first row that is nonzero there, the pivot rows are
+    masked together into one pivot vector, and masked subtractions of it
+    clear the column in every row of each lane; a subtraction moves a digit
+    by the unit of the pivot, so at most p - 1 clear it.  That also clears
+    each pivot row in its own lanes, so no row is a pivot twice.  The
+    bit-sliced counter keeps each lane's pivot count: counter[i] holds its
+    bit i at bit 0 of the lane.  goal rides along as one more row that is
+    never a pivot; it ends at 0 exactly in the lanes whose rows span it.
+    """
+    sub, nonzero, ones, full = lanes.sub, lanes.nonzero, lanes.ones, lanes.full
+    cleared = rows if goal is None else rows + [goal]
+    counter = []
+    for col in range(len(rows[0]) if rows else 0):
+        free = full  # the lanes without a pivot in this column yet
+        pivot = None
+        for row in rows:
+            chosen = nonzero(row[col]) & free
+            if chosen:
+                free ^= chosen
+                part = [x & chosen for x in row[col:]]
+                pivot = part if pivot is None else list(map(operator.or_, pivot, part))
+        if pivot is None:
+            continue
+        taken = full ^ free
+        pivot = [(i, x) for i, x in enumerate(pivot, col) if x]
+        for row in cleared:
+            mask = nonzero(row[col]) & taken
+            while mask:
+                for i, x in pivot:
+                    row[i] = sub(row[i], x & mask)
+                mask = nonzero(row[col]) & taken
+        carry = taken & ones
+        for i, bit in enumerate(counter):
+            counter[i], carry = bit ^ carry, bit & carry
+        if carry:
+            counter.append(carry)
+    return counter, goal
+
+
+def _lanes_at(counter: list[int], value: int, ones: int) -> int:
+    """The lanes, as bits of ones, whose bit-sliced counter equals value."""
+    at = 0 if value >> len(counter) else ones
+    for i, bit in enumerate(counter):
+        at &= bit if value >> i & 1 else ~bit
+    return at
 
 
 def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[int]]:
-    """(walked, consistent): per rank of ad_A over F_q, how many A of the walk
-    of _ad_blocks have it, and how many of those have cI in im ad_A.
+    """(walked, consistent): per rank of ad_A over F_q, how many A of the
+    coset walk of _ad_blocks have it, and how many of those have cI in im ad_A.
 
-    Each block eliminates the F_p-images of all its lanes at once, column
-    by column: every lane takes as pivot its first row that is nonzero
-    there, the pivot rows are masked together into one pivot vector, and
-    masked subtractions of it clear the column in every row of each lane; a
-    subtraction moves a digit by the unit of the pivot, so at most p - 1
-    clear it.  That also clears each pivot row in its own lanes, so no row
-    is a pivot twice.  A bit-sliced counter keeps each lane's pivot count,
-    its F_p-rank k * rank.  The digits of cI ride along as one more row that
-    is never a pivot; cI is in the image exactly where that row ends at 0.
+    Each block eliminates the F_p-images of all its lanes at once
+    (_eliminate), an F_p-rank of k * rank; the digits of cI ride along as
+    the goal, so cI is in the image exactly where the goal ends at 0.
     """
     p, k = spec.p, spec.k
-    cols = n * n * k
-    m = cols - k
-    width = _Lanes(p, 1).width
-    s = 0
-    while s < m and p ** (s + 1) * width <= _BLOCK_BITS:
-        s += 1
+    s = _block_exponent(p, n * n * k - k)
     lanes = _Lanes(p, p**s)
-    sub, nonzero, ones, full = lanes.sub, lanes.nonzero, lanes.ones, lanes.full
+    ones = lanes.ones
     goal_digits = [
         (c.idx // p**t) % p * ones if e % (n + 1) == 0 else 0  # cI: c on the diagonal
         for e in range(n * n)
@@ -889,40 +935,13 @@ def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[
     ]
     walked = [0] * (n * n + 1)
     consistent = [0] * (n * n + 1)
-    for _, rows in _ad_blocks(spec, n, s):
-        goal = list(goal_digits)
-        counter = []  # bit i of every lane's pivot count, at bit 0 of the lane
-        for col in range(cols):
-            free = full  # the lanes without a pivot in this column yet
-            pivot = None
-            for row in rows:
-                chosen = nonzero(row[col]) & free
-                if chosen:
-                    free ^= chosen
-                    part = [x & chosen for x in row[col:]]
-                    pivot = part if pivot is None else list(map(operator.or_, pivot, part))
-            if pivot is None:
-                continue
-            taken = full ^ free
-            pivot = [(i, x) for i, x in enumerate(pivot, col) if x]
-            for row in rows + [goal]:
-                mask = nonzero(row[col]) & taken
-                while mask:
-                    for i, x in pivot:
-                        row[i] = sub(row[i], x & mask)
-                    mask = nonzero(row[col]) & taken
-            carry = taken & ones
-            for i, bit in enumerate(counter):
-                counter[i], carry = bit ^ carry, bit & carry
-            if carry:
-                counter.append(carry)
+    for _, (rows,) in _ad_blocks(spec, n, s, (_ad_mod_scalars,), walk_last=False):
+        counter, goal = _eliminate(lanes, rows, list(goal_digits))
         missed = 0
         for x in goal:
-            missed |= nonzero(x)
+            missed |= lanes.nonzero(x)
         for rank in range(1 << len(counter)):
-            at = ones
-            for i, bit in enumerate(counter):
-                at &= bit if rank >> i & 1 else ~bit
+            at = _lanes_at(counter, rank, ones)
             if not at:
                 continue
             if rank % k:
@@ -934,6 +953,21 @@ def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[
             "the brute Lie scan walked %d matrices, not q^%d" % (sum(walked), n * n - 1)
         )
     return walked, consistent
+
+
+def _w_blocks(spec: FieldSpec, n: int, zeta: Fe, s: int):
+    """(a, members) per block of _ad_blocks over all of M_n(F_q): the lanes,
+    as bits of the lane ones, where x is invertible, v -> xv of F_p-rank nk,
+    and x ~ zeta x, rank(Y -> xY - zeta Yx) = rank ad_x (C. I. Byrnes and
+    M. A. Gauger, Linear and Multilinear Algebra 5, 1977)."""
+    lanes = _Lanes(spec.p, spec.p**s)
+    maps = (_ad_mod_scalars, lambda a: ad_matrix(a, a * zeta), lambda a: a)
+    for a, images in _ad_blocks(spec, n, s, maps, walk_last=True):
+        ad, twisted, x = (_eliminate(lanes, rows)[0] for rows in images)
+        differ = 0
+        for ad_bit, twisted_bit in itertools.zip_longest(ad, twisted, fillvalue=0):
+            differ |= ad_bit ^ twisted_bit
+        yield a, _lanes_at(x, n * spec.k, lanes.ones) & ~differ
 
 
 # -- counting ------------------------------------------------------------------
@@ -979,12 +1013,17 @@ def _lie_scan(n: int, spec: FieldSpec, c: Fe) -> int:
     return q * sum(count * q ** (nn - rank) for rank, count in enumerate(consistent))
 
 
-def _unit_orbit_sum(spec: FieldSpec, n: int, solutions) -> int:
-    """The brute group or W count: (q - 1) times the sum of solutions(x)
-    over one invertible x per orbit of F_q^x, on which both counts are
-    constant."""
-    invertibles = filter(Mat.is_invertible, _scalar_orbit_reps(spec, n))
-    return (spec.q - 1) * sum(map(solutions, invertibles))
+def _w_scan(n: int, spec: FieldSpec, zeta: Fe) -> int:
+    """#{x in GL_n : x ~ zeta x} by brute scan: x walks all q^(n^2) matrices,
+    since W is not invariant under x + F_q I, in the blocks of _w_blocks."""
+    s = _block_exponent(spec.p, n * n * spec.k)
+    count = walked = 0
+    for _, members in _w_blocks(spec, n, zeta, s):
+        count += members.bit_count()
+        walked += spec.p**s
+    if walked != spec.q ** (n * n):
+        raise MathCheckFailed("the brute W scan walked %d matrices, not q^%d" % (walked, n * n))
+    return count
 
 
 def _unit(spec: FieldSpec, zeta) -> Fe:
@@ -1031,7 +1070,10 @@ def count_group_pairs(
         pairs, cap = gl_order(n, spec.q) ** 2, min(PAIR_SCAN_MAX * 4, limits.max_brute)
         if pairs > cap:
             raise LimitExceeded("group brute scan of %d pairs exceeds limit %d" % (pairs, cap))
-        return _unit_orbit_sum(spec, n, functools.partial(_group_solutions, zeta=zeta))
+        # (q - 1) times the sum over one invertible x per orbit of F_q^x,
+        # on which the count of solutions is constant
+        invertibles = filter(Mat.is_invertible, _scalar_orbit_reps(spec, n))
+        return (spec.q - 1) * sum(_group_solutions(x, zeta) for x in invertibles)
 
     return _count("group", n, spec, strategy, limits, scan, d=zeta.multiplicative_order())
 
@@ -1063,7 +1105,7 @@ def count_w(
 ) -> int:
     """#{x in GL_n(F_q) : x is conjugate to zeta x}."""
     zeta = _unit(spec, zeta)
-    scan = functools.partial(_unit_orbit_sum, spec, n, functools.partial(_twist_fixed, zeta=zeta))
+    scan = functools.partial(_w_scan, n, spec, zeta)
     return _count("W", n, spec, strategy, limits, scan, d=zeta.multiplicative_order())
 
 

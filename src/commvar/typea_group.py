@@ -20,6 +20,7 @@ from .matgf import (
     Mat,
     block_diag,
     group_commutator,
+    invariant_factors,
     primary_data,
     similarity_transform,
 )
@@ -95,10 +96,12 @@ def verify_central_commutator(inst: ZetaInstance, a: Mat) -> CentralCommutatorRe
 
 
 def is_conjugate_to_zeta_x(x: Mat, zeta) -> bool:
-    """True iff x and zeta x share their invariant factors."""
+    """True iff x and zeta x share their invariant factors: those of zeta x
+    are the twists of x's, so the twist must fix each of them."""
     if not x.is_invertible():
         raise ValueError("x must be invertible")
-    return census._twist_fixed(x, x.spec.el(zeta))
+    zeta = x.spec.el(zeta)
+    return all(census.twist_poly(f, zeta) == f for f in invariant_factors(x))
 
 
 @dataclass(frozen=True)

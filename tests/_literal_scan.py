@@ -1,13 +1,13 @@
 """Reference: the brute counts as literal scans over every matrix.
 
 The counters visit one matrix per scalar orbit (A mod F_q I for Lie and
-commuting pairs, x mod F_q^x for group pairs and W) and multiply by the
-orbit size, and the Lie and commuting scan eliminates a whole block of A
-at once, one A per lane, on lane images read off matgf.ad_matrix.  These
-scans visit every A in M_n(F_q), each with its full list of ad images
-eliminated on its own, and every invertible x, each with the same walk
-over the solutions y of xy = y(zeta x) as the counter; the tests compare
-the two.  The per-matrix images come from a packed image builder of their
+commuting pairs, x mod F_q^x for group pairs) and multiply by the orbit
+size, and the Lie, commuting and W scans eliminate a whole block of
+matrices at once, one per lane, on lane images read off matgf matrices.
+These scans visit every A in M_n(F_q), each with its full list of ad
+images eliminated on its own, and every invertible x, each with the same
+walk over the solutions y of xy = y(zeta x) as the group counter or one
+Smith normal form for W; the tests compare the two.  The per-matrix images come from a packed image builder of their
 own (Packing), so they are a second derivation of ad_A as well.
 """
 
@@ -16,6 +16,7 @@ import itertools
 import operator
 
 from commvar import census as cs
+from commvar import typea_group as tg
 
 
 class Packing:
@@ -24,7 +25,7 @@ class Packing:
     Lane c = (i*n + j)*k + t holds digit t (the place p^t of the packed
     index) of entry (i, j), so it is the coordinate of the F_p-basis matrix
     E_ij * e_t, where e_t is the element with packed index p^t: the lane
-    order of census._ad_digits.  sub works on every lane at once
+    order of census._map_digits.  sub works on every lane at once
     (census._Lanes).
     """
 
@@ -150,4 +151,4 @@ def w_count(n, spec, zeta) -> int:
     """#{x in GL_n : x ~ zeta x}, one Smith normal form per invertible x."""
     zeta = spec.el(zeta)
     invertibles = filter(cs.Mat.is_invertible, cs._all_matrices(spec, n))
-    return sum(cs._twist_fixed(x, zeta) for x in invertibles)
+    return sum(tg.is_conjugate_to_zeta_x(x, zeta) for x in invertibles)

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import itertools
 import os
 import subprocess
@@ -326,7 +327,7 @@ def test_ad_blocks_hold_the_images_of_every_lane():
         p, k = spec.p, spec.k
         m = n * n * k - k  # the walk leaves the k lanes of entry (n-1, n-1) at 0
         seen = set()
-        for a, rows in cs._ad_blocks(spec, n, s):
+        for a, (rows,) in cs._ad_blocks(spec, n, s, (cs._ad_mod_scalars,), False):
             assert len(rows) == m
             for lane in range(p**s):
                 inner = [(lane // p**j) % p for j in range(s)]
@@ -340,7 +341,7 @@ def test_ad_blocks_hold_the_images_of_every_lane():
                 seen.add(matrix)
         assert len(seen) == spec.q ** (n * n - 1), (n, spec.q, s)
     # lazy: 2^35 matrices, of which only the first block is built
-    a, rows = next(cs._ad_blocks(F2, 6, 4))
+    a, (rows,) = next(cs._ad_blocks(F2, 6, 4, (cs._ad_mod_scalars,), False))
     assert a == mg.Mat.zeros(F2, 6, 6) and len(rows) == 35
 
 
@@ -360,7 +361,7 @@ def test_ad_digits_equal_packed_reference_images():
             for _ in range(20):
                 a = mg.Mat(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)])
                 corner_seen |= a.at(n - 1, n - 1).idx != 0
-                rows = cs._ad_digits(a)
+                rows = cs._map_digits(mg.ad_matrix(a))
                 assert len(rows) == lanes
                 assert rows == [packing.digits(v) for v in packing.images(a)], (spec.q, n, a)
                 # _lane_matrix inverts the lane order: lane e*k + t is digit t of entry e
@@ -402,9 +403,61 @@ def test_ad_rank_histogram_checks_its_total(monkeypatch):
     # a walk that loses a block no longer totals q^(n^2 - 1)
     blocks = cs._ad_blocks
     monkeypatch.setattr(cs, "_BLOCK_BITS", 64)
-    monkeypatch.setattr(cs, "_ad_blocks", lambda spec, n, s: list(blocks(spec, n, s))[1:])
+    monkeypatch.setattr(cs, "_ad_blocks", lambda *a, **kw: list(blocks(*a, **kw))[1:])
     with pytest.raises(MathCheckFailed, match="walked 192 matrices, not q\\^8"):
         cs.count_commuting_pairs(3, F2, "brute")
+
+
+def test_w_lanes_equal_per_matrix_reference(monkeypatch):
+    # every lane's verdict against the Smith normal form test, for every x;
+    # the zetas of one field share each x's invariant factors
+    monkeypatch.setattr(tg, "invariant_factors", functools.lru_cache(None)(mg.invariant_factors))
+    cases = [
+        (2, spec, d)
+        for spec in (F3, F4, F5, gf.field(7), gf.field(3, 2))
+        for d in (1, 2)
+        if (spec.q - 1) % d == 0
+    ]
+    cases += [(3, F2, 1), (3, F3, 1)]  # F_3 at n = 3 spans several blocks
+    for n, spec, d in cases:
+        zeta = gf.root_of_unity(spec, d)
+        p, k = spec.p, spec.k
+        width = cs._Lanes(p, 1).width
+        s = cs._block_exponent(p, n * n * k)
+        seen = set()
+        for a, members in cs._w_blocks(spec, n, zeta, s):
+            outer = [(x // p**t) % p for x in mg.vec(a) for t in range(k)][s:]
+            for lane in range(p**s):
+                inner = [(lane // p**j) % p for j in range(s)]
+                x = cs._lane_matrix(spec, n, inner + outer)
+                expected = x.is_invertible() and tg.is_conjugate_to_zeta_x(x, zeta)
+                assert members >> (lane * width) & 1 == expected, (n, spec.q, d, x)
+                seen.add(x)
+        assert len(seen) == spec.q ** (n * n), (n, spec.q, d)
+
+
+def test_w_brute_at_n3_equals_polynomial():
+    # GL_3(F_4) at zeta of order 3 walks 4^9 matrices in eight blocks
+    for spec, d, count in ((F4, 3, 12480), (F3, 1, 11232)):
+        assert cs.point_count_polynomial("W", 3, d=d)(spec.q) == count
+        assert cs.count_w(3, spec, gf.root_of_unity(spec, d), "brute") == count
+
+
+def test_lanes_at_reads_a_value_past_the_counter_as_absent():
+    # two lanes with counts 0 and 1 in a one-bit counter; no lane reaches 2
+    ones = 0b11
+    assert cs._lanes_at([0b10], 0, ones) == 0b01
+    assert cs._lanes_at([0b10], 1, ones) == 0b10
+    assert cs._lanes_at([0b10], 2, ones) == 0
+
+
+def test_w_scan_checks_its_total(monkeypatch):
+    # a walk that loses a block no longer totals q^(n^2)
+    blocks = cs._ad_blocks
+    monkeypatch.setattr(cs, "_BLOCK_BITS", 64)
+    monkeypatch.setattr(cs, "_ad_blocks", lambda *a, **kw: list(blocks(*a, **kw))[1:])
+    with pytest.raises(MathCheckFailed, match="W scan walked 448 matrices, not q\\^9"):
+        cs.count_w(3, F2, F2.one, "brute")
 
 
 def test_orbit_scans_equal_literal_scans():
@@ -442,8 +495,11 @@ def test_scalar_orbit_identities():
                 lam = mg.Mat.scalar(spec, n, gf.Fe(spec, rng.randrange(spec.q)))
                 assert packing.images(a + lam) == packing.images(a)
                 mu = rng.choice(units)
+                if not a.is_invertible():
+                    continue  # W lies in GL_n, where the twist test is defined
                 for zeta in units:
-                    assert cs._twist_fixed(a * mu, zeta) == cs._twist_fixed(a, zeta), (a, mu)
+                    twisted = tg.is_conjugate_to_zeta_x(a * mu, zeta)
+                    assert twisted == tg.is_conjugate_to_zeta_x(a, zeta), (a, mu)
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9), (3, 4)])

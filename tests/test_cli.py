@@ -161,6 +161,14 @@ def test_count_w_expect(capsys):
     assert doc["fitted_dimension"] == 3 and doc["match"] is True
 
 
+def test_count_w_brute_at_n3(capsys):
+    # the brute scan walks all 4^9 matrices of M_3(F_4) and meets the polynomial
+    argv = ["count", "W", "--n", "3", "--d", "3", "--qs", "4", "--strategy", "both"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert [c["count"] for c in doc["counts"]] == ["12480", "12480"]
+
+
 def test_count_empty_lie_variety(capsys):
     # p does not divide n: the trace obstruction leaves no points, and there
     # is no growth exponent to fit
