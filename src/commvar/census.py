@@ -4,23 +4,23 @@ Counts solutions of [A,B] = cI (Lie), AB = BA, [x,y] = zeta I (group), and
 the twisted-class locus {x : x conjugate to zeta x}, by two strategies
 that the four counters reach through one dispatch (_count):
 
-* brute: one scan per count behind one gate, q^(n^2) <= limits.max_brute
-  (the group scan also caps its |GL_n|^2 pairs).  The Lie, commuting and
-  W scans take blocks of p^s matrices A, one per SWAR lane: each int holds
-  one F_p-digit of one image of an F_p-linear map of A (_map_digits) for
-  the whole block.  The maps are linear in A, so the first s coordinates
-  of A give digit-plane patterns times fixed images, built once, and each
-  block adds its own matrix's images as lane broadcasts (_ad_blocks); one
-  elimination per map and block gives every lane's rank (_eliminate).
-  ad_{A + lam I} = ad_A, so for Lie and commuting pairs A runs through
-  M_n(F_q) mod F_q I (orbits of size q), and eliminating ad_A solves
-  ad_A(B) = cI exactly, over every field.  W walks all q^(n^2) matrices:
-  x ~ zeta x iff Y -> xY - zeta Yx has the rank of ad_x (Byrnes-Gauger),
-  and x is invertible iff rank x = n.  For group pairs, y^-1 (mu x) y = zeta mu x
-  iff y^-1 x y = zeta x, so x runs through the invertible x mod F_q^x
-  (orbits of size q - 1).  For each such x the y with xy = y(zeta x) are
-  the kernel of a linear map (matgf.kernel_basis), and only the members of
-  that kernel are tested for invertibility;
+* brute: one scan per count behind one gate on the matrices it puts in
+  SWAR lanes: q^(n^2) <= limits.max_brute, and for group pairs also with
+  the solutions walked.  Every scan walks the F_p-span of a basis in blocks
+  of p^s matrices A, one per lane: each int holds one F_p-digit of one
+  image of an F_p-linear map of A (_map_digits) for the whole block.  The
+  first s basis matrices give digit-plane patterns times fixed images,
+  built once, and each block adds its own matrix's images as lane
+  broadcasts (_ad_blocks); one elimination per map and block gives every
+  lane's rank (_eliminate).  ad_{A + lam I} = ad_A, so for Lie and
+  commuting pairs A runs through M_n(F_q) mod F_q I (orbits of size q),
+  and eliminating ad_A solves ad_A(B) = cI exactly, over every field.  W
+  walks all q^(n^2) matrices: x ~ zeta x iff Y -> xY - zeta Yx has the
+  rank of ad_x (Byrnes-Gauger), and x is invertible iff rank x = n.  Group
+  pairs need x ~ zeta x, and y^-1 (mu x) y = zeta mu x iff y^-1 x y =
+  zeta x, so one member x of W per orbit of F_q^x (size q - 1) walks the
+  kernel of Y -> xY - Y(zeta x) (matgf.kernel_basis), counting the y of
+  rank n;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For commuting pairs it is the Feit-Fine o-fold over part sizes, for
   [A,B] = cI with c != 0 |GL_pr| / |GL_r| times the commuting polynomial at
@@ -57,6 +57,7 @@ from .errors import LimitExceeded, MathCheckFailed
 from .gf import Fe, FieldSpec, _is_prime, _prime_divisors
 from .matgf import (
     Mat,
+    _unvec,
     ad_matrix,
     block_diag,
     companion,
@@ -67,11 +68,6 @@ from .polyring import Poly
 
 # every Decimal operation of the fit runs in this context, never the thread's
 _DEC = Context(prec=50)
-
-# the brute group count refuses |GL_n(q)|^2 above 4x this; verify's
-# lie-trace suite runs the brute Lie count only up to this many pairs
-PAIR_SCAN_MAX = 1 << 20
-
 
 @dataclass(frozen=True)
 class CensusLimits:
@@ -792,11 +788,17 @@ def _ad_mod_scalars(a: Mat) -> Mat:
     return Mat(a.spec, [row[:-1] for row in ad_matrix(a).rows])
 
 
-def _lane_matrix(spec: FieldSpec, n: int, digits) -> Mat:
-    """The n x n matrix whose lane e*k + t holds digits[e*k + t]."""
-    p, k = spec.p, spec.k
-    entries = [sum(digits[e * k + t] * p**t for t in range(k)) for e in range(n * n)]
-    return Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
+def _span_member(spec: FieldSpec, n: int, vectors, digits) -> Mat:
+    """The n x n matrix with F_p-coordinates digits on the F_p-basis e_t b_j
+    of the F_q-span of the row-major vectors b_j, coordinate j*k + t; e_t has
+    packed index p^t, so for the unit vectors that is the lane order e*k + t."""
+    entries = [0] * (n * n)
+    for c, d in enumerate(digits):
+        if d:
+            scale = d * spec.p ** (c % spec.k)  # the packed index of d e_t, digit-wise
+            for e, y in enumerate(vectors[c // spec.k]):
+                entries[e] = spec.add(entries[e], spec.mul(scale, y))
+    return _unvec(spec, entries, n)
 
 
 # bits per int in a block of a brute lane scan: p^s matrices, one per lane
@@ -822,23 +824,20 @@ def _digit_planes(lanes: _Lanes, s: int) -> list[int]:
     return planes
 
 
-def _ad_blocks(spec: FieldSpec, n: int, s: int, maps, walk_last: bool):
+def _ad_blocks(spec: FieldSpec, n: int, s: int, maps, vectors):
     """The images of F_p-linear maps of A for blocks of p^s matrices A, one A per lane.
 
-    A walks all of M_n(F_q) if walk_last, otherwise the matrices whose last
-    k lanes (entry (n-1, n-1)) are 0, one per coset A + F_q I: q^(n^2 - 1)
-    of them.  Each block is (a, images) with a the block's matrix, whose
-    first s lanes are 0; lane l of the block is A = a + the matrix whose
-    first s lanes are the base-p digits of l.  images[i][r][c] holds in
+    A walks the span of vectors, row-major n x n matrices over F_q: each
+    block is (outer, images), and lane l of the block is the A whose
+    F_p-coordinates (_span_member) are the base-p digits of l, lowest
+    first, followed by the block's outer digits.  images[i][r][c] holds in
     lane l digit c of row r of _map_digits(maps[i](A)).
-    Each map is F_p-linear in A, so the first s lanes contribute the digit
-    planes times the images of their basis matrices, built once, and each
-    block adds the images of a as lane broadcasts.  Blocks come lazily, so
-    memory does not grow with the matrices.
+    Each map is F_p-linear in A, so the first s coordinates contribute the
+    digit planes times the images of their basis matrices, built once, and
+    each block adds the images of its outer part a as lane broadcasts.
+    Blocks come lazily, so memory does not grow with the matrices.
     """
-    p, k = spec.p, spec.k
-    cols = n * n * k
-    fixed = 0 if walk_last else k
+    p = spec.p
     lanes = _Lanes(p, p**s)
     add = lanes.add
 
@@ -856,12 +855,12 @@ def _ad_blocks(spec: FieldSpec, n: int, s: int, maps, walk_last: bool):
         multiples = [0, plane]
         while len(multiples) < p:
             multiples.append(add(multiples[-1], plane))
-        basis = _lane_matrix(spec, n, [int(c == j) for c in range(cols)])
-        inner = [plus(rows, image, multiples) for rows, image in zip(inner, images(basis))]
+        b = _span_member(spec, n, vectors, [0] * j + [1])
+        inner = [plus(rows, image, multiples) for rows, image in zip(inner, images(b))]
     broadcast = [d * lanes.ones for d in range(p)]
-    for outer in itertools.product(range(p), repeat=cols - fixed - s):
-        a = _lane_matrix(spec, n, (0,) * s + outer + (0,) * fixed)
-        yield a, [plus(rows, image, broadcast) for rows, image in zip(inner, images(a))]
+    for outer in itertools.product(range(p), repeat=len(vectors) * spec.k - s):
+        a = _span_member(spec, n, vectors, (0,) * s + outer)
+        yield outer, [plus(rows, image, broadcast) for rows, image in zip(inner, images(a))]
 
 
 def _eliminate(lanes: _Lanes, rows, goal=None) -> tuple[list[int], list[int] | None]:
@@ -917,8 +916,8 @@ def _lanes_at(counter: list[int], value: int, ones: int) -> int:
 
 
 def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[int]]:
-    """(walked, consistent): per rank of ad_A over F_q, how many A of the
-    coset walk of _ad_blocks have it, and how many of those have cI in im ad_A.
+    """(walked, consistent): per rank of ad_A over F_q, how many A with entry
+    (n-1, n-1) = 0 have it, and how many of those have cI in im ad_A.
 
     Each block eliminates the F_p-images of all its lanes at once
     (_eliminate), an F_p-rank of k * rank; the digits of cI ride along as
@@ -935,7 +934,8 @@ def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[
     ]
     walked = [0] * (n * n + 1)
     consistent = [0] * (n * n + 1)
-    for _, (rows,) in _ad_blocks(spec, n, s, (_ad_mod_scalars,), walk_last=False):
+    units = Mat.identity(spec, n * n).rows[:-1]  # entry (n-1, n-1) stays 0
+    for _, (rows,) in _ad_blocks(spec, n, s, (_ad_mod_scalars,), units):
         counter, goal = _eliminate(lanes, rows, list(goal_digits))
         missed = 0
         for x in goal:
@@ -955,35 +955,33 @@ def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[
     return walked, consistent
 
 
-def _w_blocks(spec: FieldSpec, n: int, zeta: Fe, s: int):
-    """(a, members) per block of _ad_blocks over all of M_n(F_q): the lanes,
-    as bits of the lane ones, where x is invertible, v -> xv of F_p-rank nk,
-    and x ~ zeta x, rank(Y -> xY - zeta Yx) = rank ad_x (C. I. Byrnes and
-    M. A. Gauger, Linear and Multilinear Algebra 5, 1977)."""
+def _w_blocks(spec: FieldSpec, n: int, zeta: Fe):
+    """(outer, members, ad) per block of _ad_blocks over all q^(n^2) x, as W
+    is not invariant under x + F_q I: the lanes, as bits of the lane ones,
+    where x is invertible, v -> xv of F_p-rank nk, and x ~ zeta x,
+    rank(Y -> xY - zeta Yx) = rank ad_x (C. I. Byrnes and M. A. Gauger,
+    Linear and Multilinear Algebra 5, 1977); ad counts the F_p-rank of ad_x."""
+    s = _block_exponent(spec.p, n * n * spec.k)
     lanes = _Lanes(spec.p, spec.p**s)
     maps = (_ad_mod_scalars, lambda a: ad_matrix(a, a * zeta), lambda a: a)
-    for a, images in _ad_blocks(spec, n, s, maps, walk_last=True):
+    walked = 0
+    for outer, images in _ad_blocks(spec, n, s, maps, Mat.identity(spec, n * n).rows):
         ad, twisted, x = (_eliminate(lanes, rows)[0] for rows in images)
         differ = 0
         for ad_bit, twisted_bit in itertools.zip_longest(ad, twisted, fillvalue=0):
             differ |= ad_bit ^ twisted_bit
-        yield a, _lanes_at(x, n * spec.k, lanes.ones) & ~differ
+        walked += spec.p**s
+        yield outer, _lanes_at(x, n * spec.k, lanes.ones) & ~differ, ad
+    if walked != spec.q ** (n * n):
+        raise MathCheckFailed("the brute W scan walked %d matrices, not q^%d" % (walked, n * n))
 
 
 # -- counting ------------------------------------------------------------------
 
-def _all_matrices(spec: FieldSpec, n: int, head=()):
-    """The matrices whose row-major entries start with head, in product order."""
-    for tail in itertools.product(range(spec.q), repeat=n * n - len(head)):
-        entries = head + tail
-        yield Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
-
-
-def _scalar_orbit_reps(spec: FieldSpec, n: int):
-    """One matrix per orbit of F_q^x on the nonzero matrices: the first
-    nonzero entry, in row-major order, is 1; (q^(n^2) - 1) / (q - 1) of them."""
-    for lead in range(n * n):
-        yield from _all_matrices(spec, n, (0,) * lead + (spec.one_idx,))
+def _all_matrices(spec: FieldSpec, n: int):
+    """Every n x n matrix, in product order of the row-major entries."""
+    for entries in itertools.product(range(spec.q), repeat=n * n):
+        yield _unvec(spec, entries, n)
 
 
 def _count(variety: str, n: int, spec: FieldSpec, strategy: str, limits, scan, p=0, d=1) -> int:
@@ -1014,16 +1012,8 @@ def _lie_scan(n: int, spec: FieldSpec, c: Fe) -> int:
 
 
 def _w_scan(n: int, spec: FieldSpec, zeta: Fe) -> int:
-    """#{x in GL_n : x ~ zeta x} by brute scan: x walks all q^(n^2) matrices,
-    since W is not invariant under x + F_q I, in the blocks of _w_blocks."""
-    s = _block_exponent(spec.p, n * n * spec.k)
-    count = walked = 0
-    for _, members in _w_blocks(spec, n, zeta, s):
-        count += members.bit_count()
-        walked += spec.p**s
-    if walked != spec.q ** (n * n):
-        raise MathCheckFailed("the brute W scan walked %d matrices, not q^%d" % (walked, n * n))
-    return count
+    """#{x in GL_n : x ~ zeta x} by brute scan: the member lanes of _w_blocks."""
+    return sum(members.bit_count() for _, members, _ in _w_blocks(spec, n, zeta))
 
 
 def _unit(spec: FieldSpec, zeta) -> Fe:
@@ -1065,35 +1055,57 @@ def count_group_pairs(
 ) -> int:
     """#{(x, y) in GL_n(F_q)^2 : x^-1 y^-1 x y = zeta I}."""
     zeta = _unit(spec, zeta)
-
-    def scan() -> int:
-        pairs, cap = gl_order(n, spec.q) ** 2, min(PAIR_SCAN_MAX * 4, limits.max_brute)
-        if pairs > cap:
-            raise LimitExceeded("group brute scan of %d pairs exceeds limit %d" % (pairs, cap))
-        # (q - 1) times the sum over one invertible x per orbit of F_q^x,
-        # on which the count of solutions is constant
-        invertibles = filter(Mat.is_invertible, _scalar_orbit_reps(spec, n))
-        return (spec.q - 1) * sum(_group_solutions(x, zeta) for x in invertibles)
-
+    scan = functools.partial(_group_scan, n, spec, zeta, limits)
     return _count("group", n, spec, strategy, limits, scan, d=zeta.multiplicative_order())
+
+
+def _group_scan(n: int, spec: FieldSpec, zeta: Fe, limits: CensusLimits) -> int:
+    """#{(x, y) : y^-1 x y = zeta x} by brute scan: q - 1 times the solutions
+    of the x in W's lanes (_w_blocks) whose first nonzero entry is 1, one per
+    orbit of F_q^x.  The gate adds q^(dim ker) per such x, dim ker = n^2 -
+    rank ad_x on W, read off the ad counters before any solution walk."""
+    p, q, k, nn = spec.p, spec.q, spec.k, n * n
+    width = _Lanes(p, 1).width
+    units = Mat.identity(spec, nn).rows
+    walked, solutions, reps = q**nn, 0, []  # solutions: q^(dim ker) over the members
+    for outer, members, ad in _w_blocks(spec, n, zeta):
+        for rank in range(1 << len(ad)):
+            solutions += _lanes_at(ad, rank, members).bit_count() * q ** (nn - rank // k)
+        walked = q**nn + solutions // (q - 1)
+        inner = range(nn * k - len(outer))  # the digits a lane's index gives
+        for lane, bit in enumerate(bin(members)[:1:-1][::width]):  # lane l at bit l * width
+            if bit == "1" and walked <= limits.max_brute:  # keep no x for a refused scan
+                x = _span_member(spec, n, units, [lane // p**j % p for j in inner] + list(outer))
+                if next(filter(None, itertools.chain(*x.rows))) == spec.one_idx:
+                    reps.append(x)
+    if walked > limits.max_brute:
+        raise LimitExceeded(
+            "group brute scan of %d matrices exceeds limit %d" % (walked, limits.max_brute)
+        )
+    return (q - 1) * sum(_group_solutions(x, zeta) for x in reps)
 
 
 def _group_solutions(x: Mat, zeta: Fe) -> int:
     """#{y in GL_n(F_q) : y^-1 x y = zeta x}, over the solution space only.
 
     y^-1 x y = zeta x  <=>  x y - y (zeta x) = 0, which is linear in y: the
-    solutions are the F_q-span of the kernel basis of B -> xB - B(zeta x).
-    The span is built one basis matrix at a time, adding each of its q
-    multiples to every member so far, and each member is tested for
-    invertibility.
+    solutions are the span of the kernel of B -> xB - B(zeta x).  _ad_blocks
+    walks it, one y per lane, and counts the y where v -> yv has F_p-rank
+    nk, that is, the invertible y.
     """
     spec, n = x.spec, x.n_rows
-    members = [Mat.zeros(spec, n, n)]
-    for v in kernel_basis(ad_matrix(x, x * zeta)):
-        b = Mat(spec, [v[i * n : (i + 1) * n] for i in range(n)])
-        multiples = [b * c for c in spec.elements()]
-        members = [y + m for y in members for m in multiples]
-    return sum(map(Mat.is_invertible, members))
+    kernel = kernel_basis(ad_matrix(x, x * zeta))
+    s = _block_exponent(spec.p, len(kernel) * spec.k)
+    lanes = _Lanes(spec.p, spec.p**s)
+    count = walked = 0
+    for _, (rows,) in _ad_blocks(spec, n, s, (lambda y: y,), kernel):
+        count += _lanes_at(_eliminate(lanes, rows)[0], n * spec.k, lanes.ones).bit_count()
+        walked += spec.p**s
+    if walked != spec.q ** len(kernel):
+        raise MathCheckFailed(
+            "the group solution walk covered %d matrices, not q^%d" % (walked, len(kernel))
+        )
+    return count
 
 
 def count_w(

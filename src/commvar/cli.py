@@ -322,6 +322,9 @@ def _suite_group(args, limits) -> list[dict]:
     return checks
 
 
+_LIE_TRACE_PAIRS = 1 << 20  # the lie-trace suite runs the brute Lie count up to this many pairs
+
+
 def _suite_lie_trace(args, limits) -> list[dict]:
     spec = gf.field(args.p, args.k)
     if args.n % spec.p == 0:
@@ -337,7 +340,7 @@ def _suite_lie_trace(args, limits) -> list[dict]:
     except LimitExceeded as exc:
         return [_check("trace_obstruction", "skipped", reason=str(exc))]
     details = {"n": args.n, "p": spec.p, "q": spec.q, "count": str(count)}
-    if spec.q ** (2 * args.n**2) <= min(census.PAIR_SCAN_MAX, limits.max_brute):
+    if spec.q ** (2 * args.n**2) <= min(_LIE_TRACE_PAIRS, limits.max_brute):
         brute = census.count_lie_pairs(args.n, spec, 1, "brute", limits)
         details["brute_count"] = str(brute)
         ok = count == 0 and brute == 0

@@ -1,14 +1,16 @@
 """Reference: the brute counts as literal scans over every matrix.
 
 The counters visit one matrix per scalar orbit (A mod F_q I for Lie and
-commuting pairs, x mod F_q^x for group pairs) and multiply by the orbit
-size, and the Lie, commuting and W scans eliminate a whole block of
+commuting pairs, one x of W per orbit of F_q^x for group pairs) and
+multiply by the orbit size, and every scan eliminates a whole block of
 matrices at once, one per lane, on lane images read off matgf matrices.
 These scans visit every A in M_n(F_q), each with its full list of ad
 images eliminated on its own, and every invertible x, each with the same
 walk over the solutions y of xy = y(zeta x) as the group counter or one
 Smith normal form for W; the tests compare the two.  The per-matrix images come from a packed image builder of their
 own (Packing), so they are a second derivation of ad_A as well.
+scalar_orbit_reps lists one matrix per orbit of F_q^x by the rule that the
+group counter applies to the lanes of W: the first nonzero entry is 1.
 """
 
 import functools
@@ -152,3 +154,12 @@ def w_count(n, spec, zeta) -> int:
     zeta = spec.el(zeta)
     invertibles = filter(cs.Mat.is_invertible, cs._all_matrices(spec, n))
     return sum(tg.is_conjugate_to_zeta_x(x, zeta) for x in invertibles)
+
+
+def scalar_orbit_reps(spec, n: int):
+    """One matrix per orbit of F_q^x on the nonzero matrices: the first
+    nonzero entry, in row-major order, is 1; (q^(n^2) - 1) / (q - 1) of them."""
+    for lead in range(n * n):
+        for tail in itertools.product(range(spec.q), repeat=n * n - lead - 1):
+            entries = (0,) * lead + (spec.one_idx,) + tail
+            yield cs.Mat(spec, [entries[i * n : (i + 1) * n] for i in range(n)])

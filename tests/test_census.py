@@ -15,7 +15,7 @@ import pytest
 import _literal_scan as ls
 import _type_sum as ts
 from commvar import census as cs
-from commvar import gf, matgf as mg, typea_group as tg
+from commvar import cli, gf, matgf as mg, typea_group as tg
 from commvar.errors import LimitExceeded, MathCheckFailed
 
 F2 = gf.field(2)
@@ -205,12 +205,12 @@ def test_counter_contract(count, variety, p, d):
         count(2, zeta, "brute", cs.CensusLimits(max_brute=80))
     accepted = 81
     if variety == "group":
-        # the group scan's own cap on |GL_2(3)|^2 = 48^2 pairs
-        assert cs.gl_order(2, 3) ** 2 == 2304
-        cap = "group brute scan of 2304 pairs exceeds limit 2303"
+        # the same unit once W's lanes are walked: the 81 lanes plus the 81
+        # solutions of the 9 orbit representatives x in W, 9 each
+        cap = "group brute scan of 162 matrices exceeds limit 161"
         with pytest.raises(LimitExceeded, match=cap):
-            count(2, zeta, "brute", cs.CensusLimits(max_brute=2303))
-        accepted = 2304
+            count(2, zeta, "brute", cs.CensusLimits(max_brute=161))
+        accepted = 162
     brute = count(2, zeta, "brute", cs.CensusLimits(max_brute=accepted))
     assert brute == count(2, zeta, "class", limits)
 
@@ -256,9 +256,9 @@ def test_brute_pair_walk_equals_polynomial():
     grid = [(1, gf.field(p, k)) for p, k in small]
     grid += [(2, spec) for spec in (F2, F3, F4, F5)] + [(3, F2)]
     for n, spec in grid:
-        # sizes up to PAIR_SCAN_MAX pairs, where verify's lie-trace suite
-        # runs the brute count
-        assert spec.q ** (2 * n * n) <= cs.PAIR_SCAN_MAX
+        # sizes up to the pairs where verify's lie-trace suite runs the
+        # brute count
+        assert spec.q ** (2 * n * n) <= cli._LIE_TRACE_PAIRS
         for c in (spec.zero, spec.one):
             poly = cs.point_count_polynomial("lie" if c else "commuting", n, spec.p)
             assert cs.count_lie_pairs(n, spec, c, "brute") == poly(spec.q), (n, spec, c)
@@ -275,15 +275,35 @@ def test_group_brute_walk_equals_polynomial():
 
 def test_group_solutions_equal_literal_filter():
     # over GF(4) a kernel coefficient read as an integer mod 2 would miss solutions
-    for spec, orders in ((F4, (1, 3)), (F5, (1, 2, 4))):
-        invertibles = list(filter(mg.Mat.is_invertible, cs._all_matrices(spec, 2)))
+    for n, spec, orders in ((2, F4, (1, 3)), (2, F5, (1, 2, 4)), (3, F2, (1,))):
+        invertibles = list(filter(mg.Mat.is_invertible, cs._all_matrices(spec, n)))
         zetas = [gf.root_of_unity(spec, d) for d in orders]
-        for x in filter(mg.Mat.is_invertible, cs._scalar_orbit_reps(spec, 2)):
+        for x in filter(mg.Mat.is_invertible, ls.scalar_orbit_reps(spec, n)):
             products = [(x @ y, y @ x) for y in invertibles]
             for zeta in zetas:
                 # y (zeta x) = zeta (y x)
                 expected = sum(xy == yx * zeta for xy, yx in products)
                 assert cs._group_solutions(x, zeta) == expected, (spec, zeta, x)
+    # every y commutes with I: 16 and 18 F_2-coordinates, more than one block's 15
+    assert cs._group_solutions(mg.Mat.identity(F2, 4), F2.one) == cs.gl_order(4, 2)
+    assert cs._group_solutions(mg.Mat.identity(F4, 3), F4.one) == cs.gl_order(3, 4)
+
+
+def test_group_solutions_check_their_total(monkeypatch):
+    # a walk that loses a block no longer totals q^(dim ker): all 2^9 y commute with I
+    blocks = cs._ad_blocks
+    monkeypatch.setattr(cs, "_BLOCK_BITS", 64)
+    monkeypatch.setattr(cs, "_ad_blocks", lambda *a, **kw: list(blocks(*a, **kw))[1:])
+    with pytest.raises(MathCheckFailed, match="solution walk covered 448 matrices, not q\\^9"):
+        cs._group_solutions(mg.Mat.identity(F2, 3), F2.one)
+
+
+def test_group_brute_at_n3_equals_polynomial():
+    # GL_3(F_4) at zeta of order 3: 4^9 lanes of W, then the solutions of
+    # its 4160 orbit representatives; the pair count |GL_3(4)|^2 is 3.3e10
+    for spec, d, count in ((F4, 3, 544_320), (F3, 1, 269_568)):
+        assert cs.point_count_polynomial("group", 3, d=d)(spec.q) == count
+        assert cs.count_group_pairs(3, spec, gf.root_of_unity(spec, d), "brute") == count
 
 
 def test_image_kernel_equals_rref():
@@ -326,12 +346,13 @@ def test_ad_blocks_hold_the_images_of_every_lane():
         packing = ls.packing(spec, n)
         p, k = spec.p, spec.k
         m = n * n * k - k  # the walk leaves the k lanes of entry (n-1, n-1) at 0
+        units = mg.Mat.identity(spec, n * n).rows
         seen = set()
-        for a, (rows,) in cs._ad_blocks(spec, n, s, (cs._ad_mod_scalars,), False):
+        for outer, (rows,) in cs._ad_blocks(spec, n, s, (cs._ad_mod_scalars,), units[:-1]):
             assert len(rows) == m
             for lane in range(p**s):
                 inner = [(lane // p**j) % p for j in range(s)]
-                matrix = a + cs._lane_matrix(spec, n, inner + [0] * (n * n * k - s))
+                matrix = cs._span_member(spec, n, units, inner + list(outer))
                 assert matrix.at(n - 1, n - 1).idx == 0
                 # the images of E_{n-1,n-1} e_t are dropped: they lie in the span
                 expected = [packing.digits(v) for v in packing.images(matrix)[:m]]
@@ -341,8 +362,9 @@ def test_ad_blocks_hold_the_images_of_every_lane():
                 seen.add(matrix)
         assert len(seen) == spec.q ** (n * n - 1), (n, spec.q, s)
     # lazy: 2^35 matrices, of which only the first block is built
-    a, (rows,) = next(cs._ad_blocks(F2, 6, 4, (cs._ad_mod_scalars,), False))
-    assert a == mg.Mat.zeros(F2, 6, 6) and len(rows) == 35
+    units = mg.Mat.identity(F2, 36).rows[:-1]
+    outer, (rows,) = next(cs._ad_blocks(F2, 6, 4, (cs._ad_mod_scalars,), units))
+    assert outer == (0,) * 31 and len(rows) == 35
 
 
 def test_ad_digits_equal_packed_reference_images():
@@ -364,13 +386,15 @@ def test_ad_digits_equal_packed_reference_images():
                 rows = cs._map_digits(mg.ad_matrix(a))
                 assert len(rows) == lanes
                 assert rows == [packing.digits(v) for v in packing.images(a)], (spec.q, n, a)
-                # _lane_matrix inverts the lane order: lane e*k + t is digit t of entry e
+                # on the unit vectors _span_member inverts the lane order:
+                # lane e*k + t is digit t of entry e
+                units = mg.Mat.identity(spec, n * n).rows
                 digits = [rng.randrange(p) for _ in range(lanes)]
-                m = cs._lane_matrix(spec, n, digits)
+                m = cs._span_member(spec, n, units, digits)
                 assert [(x // p**t) % p for x in mg.vec(m) for t in range(k)] == digits
                 # row c is the image of the basis matrix of lane c
                 c = rng.randrange(lanes)
-                basis = cs._lane_matrix(spec, n, [int(i == c) for i in range(lanes)])
+                basis = cs._span_member(spec, n, units, [int(i == c) for i in range(lanes)])
                 image = mg.vec(mg.lie_commutator(a, basis))
                 assert rows[c] == [(x // p**t) % p for x in image for t in range(k)]
             assert corner_seen, (spec.q, n)
@@ -424,12 +448,12 @@ def test_w_lanes_equal_per_matrix_reference(monkeypatch):
         p, k = spec.p, spec.k
         width = cs._Lanes(p, 1).width
         s = cs._block_exponent(p, n * n * k)
+        units = mg.Mat.identity(spec, n * n).rows
         seen = set()
-        for a, members in cs._w_blocks(spec, n, zeta, s):
-            outer = [(x // p**t) % p for x in mg.vec(a) for t in range(k)][s:]
+        for outer, members, _ in cs._w_blocks(spec, n, zeta):
             for lane in range(p**s):
                 inner = [(lane // p**j) % p for j in range(s)]
-                x = cs._lane_matrix(spec, n, inner + outer)
+                x = cs._span_member(spec, n, units, inner + list(outer))
                 expected = x.is_invertible() and tg.is_conjugate_to_zeta_x(x, zeta)
                 assert members >> (lane * width) & 1 == expected, (n, spec.q, d, x)
                 seen.add(x)
@@ -483,7 +507,7 @@ def test_scalar_orbit_identities():
     rng = random.Random(12)
     for spec in (F3, F4, F5, gf.field(3, 2)):
         units = [gf.Fe(spec, i) for i in range(1, spec.q)]
-        reps = list(cs._scalar_orbit_reps(spec, 2))
+        reps = list(ls.scalar_orbit_reps(spec, 2))
         assert len(reps) == (spec.q**4 - 1) // (spec.q - 1)
         assert {x * mu for x in reps for mu in units} == set(all_mats(spec, 2)) - {
             mg.Mat.zeros(spec, 2, 2)
@@ -504,10 +528,10 @@ def test_scalar_orbit_identities():
 
 @pytest.mark.parametrize("n,q", [(3, 3), (2, 7), (4, 2), (2, 8), (2, 9), (3, 4)])
 def test_odd_p_per_matrix_scan_equals_polynomial(n, q):
-    # sizes above PAIR_SCAN_MAX pairs, on the same block elimination as
+    # sizes above the lie-trace suite's pairs, on the same block elimination as
     # every brute Lie count; GF(4), GF(8) and GF(9) put several F_p-digits
     # in every entry, and GF(4) at n = 3 spans two blocks
-    assert q ** (2 * n * n) > cs.PAIR_SCAN_MAX
+    assert q ** (2 * n * n) > cli._LIE_TRACE_PAIRS
     spec = {4: F4, 8: gf.field(2, 3), 9: gf.field(3, 2)}.get(q) or gf.field(q)
     # c = 1 at (4, 2) is 295,680, asserted by the acceptance tests
     expected = {

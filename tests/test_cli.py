@@ -143,6 +143,16 @@ def test_count_group_expect_mismatch_is_exit_1(capsys):
     assert doc["d"] == 2 and doc["zeta"]["3"] == "2"
 
 
+def test_count_group_brute_over_gf9(capsys):
+    # |GL_2(9)|^2 = 5760^2 pairs, but the scan walks 9^4 lanes of W and the
+    # solutions of W's orbit representatives
+    code, doc = run_json(
+        capsys, ["count", "group", "--n", "2", "--d", "2", "--qs", "9", "--strategy", "both"]
+    )
+    assert code == 0
+    assert [c["count"] for c in doc["counts"]] == ["46080", "46080"]
+
+
 def test_count_with_more_than_4300_digits(capsys):
     # |GL_48(97)| * 96 has about 4600 digits, past the default limit of
     # int-to-str conversion
