@@ -173,7 +173,6 @@ def twist_poly(f: Poly, zeta: Fe) -> Poly:
     if not z:
         raise ValueError("twist scalar must be nonzero")
     deg = f.degree
-    out = []
     power = spec.one_idx  # zeta^(deg - i), built from i = deg downward
     scaled = [0] * (deg + 1)
     for i in range(deg, -1, -1):
@@ -1161,8 +1160,9 @@ def estimate_dimension(points) -> DimensionFit:
 
 @dataclass
 class CountReport:
-    """Per-q counts for one variety, the fitted growth exponent, and the
-    exact point-count polynomial with its degree."""
+    """Per-q counts for one variety, the fitted growth exponent (a
+    diagnostic), and the exact point-count polynomial, whose degree is the
+    dimension that `match` compares with the expected one."""
 
     variety: str
     n: int
@@ -1199,8 +1199,9 @@ class CountReport:
             "exact_dimension": self.exact_dimension,
             "expected_dimension": self.expected_dimension,
             "match": (
-                self.fit.fitted == self.expected_dimension
-                if self.fit and self.expected_dimension is not None
+                self.exact_dimension == self.expected_dimension
+                if self.point_count_polynomial is not None
+                and self.expected_dimension is not None
                 else None
             ),
         }

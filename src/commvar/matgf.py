@@ -670,18 +670,6 @@ def min_poly(a: Mat) -> Poly:
     return invariant_factors(a).minimal
 
 
-def char_poly(a: Mat) -> Poly:
-    """Characteristic polynomial as the product of the invariant factors."""
-    out = Poly.one(a.spec)
-    for f in invariant_factors(a).factors:
-        out = out * f
-    return out
-
-
-def is_similar(a: Mat, b: Mat) -> bool:
-    return invariant_factors(a) == invariant_factors(b)
-
-
 def rcf_transform(a: Mat):
     """(P, factors) with P^-1 A P the direct sum of companion(d_i).
 
@@ -734,7 +722,6 @@ def primary_data(a: Mat):
     invariant factors, descending.
     """
     inf = invariant_factors(a)
-    spec = a.spec
     out = []
     for f, _ in polyring.factor(inf.minimal):
         parts = []

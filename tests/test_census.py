@@ -899,15 +899,23 @@ def test_count_report_schema():
     assert doc["counts"][0] == {"q": 2, "count": "24", "strategy": "class"}
     assert isinstance(doc["counts"][0]["count"], str)
     assert doc["fitted_dimension"] == 5
-    assert doc["match"] is True
     assert isinstance(doc["raw_exponent"], str) and isinstance(doc["residual"], str)
+    # match reads the exact degree, so without a polynomial it is null
     assert doc["point_count_polynomial"] is None and doc["exact_dimension"] is None
+    assert doc["match"] is None
     report.point_count_polynomial = cs.point_count_polynomial("lie", 2, p=2)
     doc = report.to_json_dict()
     assert doc["point_count_polynomial"] == "q^5-q^3" and doc["exact_dimension"] == 5
+    assert doc["match"] is True
+    report.fit = cs.estimate_dimension([(2, 1), (4, 64)])  # a fit of 6 leaves match alone
+    doc = report.to_json_dict()
+    assert doc["fitted_dimension"] == 6 and doc["match"] is True
     report.point_count_polynomial = cs.point_count_polynomial("lie", 2, p=3)
-    assert report.to_json_dict()["point_count_polynomial"] == "0"
+    doc = report.to_json_dict()
+    assert doc["point_count_polynomial"] == "0" and doc["match"] is False
     assert report.exact_dimension is None
+    report.expected_dimension = None
+    assert report.to_json_dict()["match"] is None
 
 
 def test_qpoly_arithmetic_and_rendering():

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from commvar import census, cli, matgf
+from commvar import census, cli, matgf, typea_group
 
 
 def run(capsys, argv):
@@ -105,6 +107,23 @@ def test_verify_suites(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_refuses_nonpositive_n_and_d(capsys):
+    # 0 % p == 0 and a ValueError skip would pass these silently
+    for argv, message in [
+        (["group", "--n", "-2", "--d", "1"], "n and d must be positive"),
+        (["group", "--d", "0"], "n and d must be positive"),
+        (["lie-trace", "--n", "0"], "n must be positive"),
+        (["all", "--n", "0"], "n and d must be positive"),
+    ]:
+        code, out, err = run(capsys, ["verify", "--suite", *argv])
+        assert (code, out, err) == (2, "", "error: %s\n" % message), argv
+    # the real skips stay: d does not divide n, no zeta of order d in F_q
+    for argv in (["--n", "3", "--d", "2"], ["--q", "2"]):
+        code, doc = run_json(capsys, ["verify", "--suite", "group", *argv])
+        assert code == 0
+        assert [c["status"] for c in doc["checks"]] == ["skipped"] * 2
+
+
 def test_count_lie_with_expect(capsys):
     code, doc = run_json(
         capsys, ["count", "lie", "--p", "2", "--n", "2", "--qs", "2,4,8", "--expect"]
@@ -126,21 +145,28 @@ def test_count_strategy_both(capsys):
     assert strategies[(4, "class")] == strategies[(4, "brute")] == "960"
 
 
-def test_count_group_expect_mismatch_is_exit_1(capsys):
-    # the exact counts at q in {3,9} fit exponent ~5.62, rounding to 6,
-    # away from the formula value 5; --expect must report the mismatch
-    code, out, err = run(
-        capsys, ["count", "group", "--n", "2", "--d", "2", "--qs", "3,9", "--expect"]
-    )
-    assert code == 1
-    assert err.splitlines()[-1] == "--expect failed: fitted dimension 6, expected 5"
+def test_count_group_expect_mismatch_is_exit_1(capsys, monkeypatch):
+    # the counts at q in {3,9} fit exponent ~5.62, rounding to 6, but
+    # --expect reads the exact degree 5, so only a wrong closed form fails
+    argv = ["count", "group", "--n", "2", "--d", "2", "--qs", "3,9", "--expect"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and "--expect failed" not in err
     doc = json.loads(out)
-    assert doc["fitted_dimension"] == 6 and doc["expected_dimension"] == 5
-    assert doc["match"] is False
-    # the exact polynomial gives the formula value next to the fit
-    assert doc["exact_dimension"] == 5
     assert doc["point_count_polynomial"] == "q^5-2*q^4+2*q^2-q"
     assert doc["d"] == 2 and doc["zeta"]["3"] == "2"
+
+    group_dims = typea_group.group_dims
+    monkeypatch.setattr(
+        typea_group, "group_dims",
+        lambda n, d: dataclasses.replace(group_dims(n, d), dim_pairs=n * n + n),
+    )
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("--expect")] == [
+        "--expect failed: exact dimension 5, expected 6"
+    ]
+    doc = json.loads(out)
+    assert doc["expected_dimension"] == 6 and doc["match"] is False
 
 
 def test_count_group_brute_over_gf9(capsys):
@@ -218,10 +244,33 @@ def test_count_lie_rejects_c(capsys):
 
 
 def test_count_expect_single_q_says_why(capsys):
+    # one q leaves nothing to fit, but the exact degree still decides
     code, out, err = run(capsys, ["count", "commuting", "--n", "2", "--qs", "2", "--expect"])
-    assert code == 1
-    assert json.loads(out)["fitted_dimension"] is None
-    assert err == "--expect failed: fewer than two q values, so no dimension can be fitted\n"
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["fitted_dimension"] is None
+    assert doc["exact_dimension"] == doc["expected_dimension"] == 6
+    assert doc["match"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,fitted",
+    [
+        (["commuting", "--n", "4", "--qs", "2,4"], 19),
+        (["group", "--n", "2", "--d", "2", "--qs", "3,9"], 6),
+        (["group", "--n", "30", "--d", "1", "--qs", "2,4"], 931),
+        (["group", "--n", "1", "--d", "1", "--qs", "2,4"], 3),
+        (["commuting", "--n", "2", "--qs", "2"], None),
+    ],
+)
+def test_count_expect_reads_the_exact_degree(capsys, argv, fitted):
+    # the two-point fit misses these dimensions at small q; the exact
+    # polynomial's degree does not, and the fit stays as printed
+    code, doc = run_json(capsys, ["count", *argv, "--expect"])
+    assert code == 0
+    assert doc["match"] is True
+    assert doc["exact_dimension"] == doc["expected_dimension"]
+    assert doc["fitted_dimension"] == fitted
 
 
 def test_cli_import_leaves_numpy_out():
@@ -328,6 +377,30 @@ def test_src_raises_no_bare_assertion_error():
         if "raise AssertionError" in line
     ]
     assert offenders == []
+
+
+def test_src_stores_no_unread_name():
+    # a name a function assigns and never reads is a dead store; nested
+    # functions are scanned with their enclosing one, so closures count
+    src = Path(cli.__file__).parent
+    offenders = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, loaded = {}, set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name):
+                    if isinstance(node.ctx, ast.Store):
+                        stored.setdefault(node.id, node.lineno)
+                    else:
+                        loaded.add(node.id)
+            offenders |= {
+                "%s:%d %s" % (path.name, line, name)
+                for name, line in stored.items()
+                if name not in loaded and name != "_"
+            }
+    assert sorted(offenders) == []
 
 
 def test_src_reads_no_environment():

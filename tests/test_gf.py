@@ -115,6 +115,33 @@ def test_construction_builds_tables_up_to_256():
         assert (spec._add_t, spec._neg_t, spec._mul_t, spec._inv_t) == (None,) * 4
 
 
+@pytest.mark.parametrize("p,k", [(2, 9), (3, 6)])
+def test_untabled_field_axioms_on_samples(p, k):
+    # q > 256 builds no tables, so + and - run digit by digit
+    spec = gf.field(p, k)
+    rng = random.Random(spec.q)
+    els = [spec.el(rng.randrange(spec.q)) for _ in range(12)] + [spec.zero, spec.one]
+    for a in els:
+        assert a + -a == spec.zero and sum([a] * p, spec.zero) == spec.zero
+        if a:
+            assert a * (spec.one / a) == spec.one
+        for b in els:
+            assert (a - b) + b == a and a + b == b + a
+            for c in els:
+                assert a * (b + c) == a * b + a * c
+
+
+def test_embed_tabled_gf8_into_untabled_gf512():
+    src, dst = gf.field(2, 3), gf.field(2, 9)
+    assert src._add_t is not None and dst._add_t is None
+    images = {a: gf.embed(a, dst) for a in src.elements()}
+    assert len(set(images.values())) == src.q  # injective
+    for a in src.elements():
+        for b in src.elements():
+            assert gf.embed(a + b, dst) == images[a] + images[b]
+            assert gf.embed(a * b, dst) == images[a] * images[b]
+
+
 def test_frobenius_fixes_prime_subfield():
     f4 = gf.field(2, 2)
     assert gf.frobenius(f4.one) == f4.one
