@@ -486,8 +486,12 @@ def _cmd_count(args) -> int:
                 % (strategy, Decimal(value), q, poly)
             )
     expected = _expected_dimension(args.variety, args.n, args.d, p_char)
-    # an empty variety (all counts 0) has no growth exponent to fit
-    fittable = len(fit_points) >= 2 and all(count for _, count in fit_points)
+    # the fit compares the smallest q with the largest, which must be a power
+    # q^m (m >= 2) of it; other q sets, and an empty variety (all counts 0),
+    # leave the fit out
+    k_low, k_high = (_prime_power(q)[1] for q in (qs[0], qs[-1]))
+    fittable = (k_high > k_low and k_high % k_low == 0
+                and all(count for _, count in fit_points))
     fit = census.estimate_dimension(fit_points) if fittable else None
     report = census.CountReport(
         variety=args.variety,
@@ -532,21 +536,24 @@ def _expected_dimension(variety, n, d, p_char) -> int | None:
 # -- classes and dims ---------------------------------------------------------------
 
 # One entry of the "classes" list as json.dumps(doc, indent=2) lays it out
-# at depth 2; its "data" items are pair fragments at depth 4.
+# at depth 2; its "data" items are (irreducible, partition) pairs at depth 4,
+# each part of the partition on its own line at depth 6.
 _CLASS_ENTRY = (
     '    {\n      "data": [\n%s\n      ],\n'
     '      "class_size": "%d",\n'
     '      "centralizer_order": "%d",\n'
     '      "centralizer_dimension": %d\n    }'
 )
-_PAIR_INDENT = " " * 8
+_PAIR = '        [\n          %s,\n          [\n%s\n          ]\n        ]'
+_PART = "            %d"
 
 
 def _classes_text(classes) -> str:
     """json.dumps(list, indent=2) of the class entries, placed at depth 1.
 
-    Each distinct (irreducible, partition) pair is encoded once by json
-    and re-indented to its depth; the rest is a fixed skeleton.
+    The text is filled into fixed templates: each distinct (irreducible,
+    partition) pair once, from json.dumps of the irreducible's name and one
+    line per part, then each class entry from its pairs and numbers.
     """
     pairs = {}
     entries = []
@@ -556,8 +563,8 @@ def _classes_text(classes) -> str:
             key = (f.coeffs, lam)
             text = pairs.get(key)
             if text is None:
-                text = json.dumps([f.pretty(), list(lam)], indent=2)
-                text = pairs[key] = _PAIR_INDENT + text.replace("\n", "\n" + _PAIR_INDENT)
+                parts = ",\n".join([_PART % part for part in lam])
+                text = pairs[key] = _PAIR % (json.dumps(f.pretty()), parts)
             data.append(text)
         entries.append(_CLASS_ENTRY % (
             ",\n".join(data), c.class_size, c.centralizer_order, c.dim_centralizer()

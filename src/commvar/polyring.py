@@ -4,8 +4,8 @@ Polynomials are dense coefficient tuples (packed element indices, constant
 term first, no trailing zeros).  Provides exact arithmetic, gcd,
 irreducibility testing (distinct-degree sieve), full factorization
 (squarefree split + distinct-degree + equal-degree splitting), and
-enumeration of the monic irreducibles of a given degree by a sieve that
-strikes out products of lower-degree irreducibles.
+enumeration of the monic irreducibles of a given degree by an affine sieve
+that strikes out the multiples of each lower-degree irreducible.
 
 Text form: comma-separated element tokens, constant term first,
 e.g. "1,0,1" for 1 + t^2 over a prime field.
@@ -462,8 +462,12 @@ def _moebius(n: int) -> int:
 def irreducibles_of_degree(spec: FieldSpec, d: int):
     """All monic irreducibles of degree d, in canonical order.
 
-    A sieve: the monics of degree d that are no product of a monic
-    irreducible of degree e <= d/2 and a monic of degree d - e.
+    An affine sieve strikes out every multiple of each monic irreducible f
+    of degree e <= d/2.  Those multiples are h = t^e U + L with U any monic
+    of degree d - e and L = -(t^e U mod f), so each coefficient L_j is an
+    affine function of U's coefficients: weights -(t^(e+i) mod f)_j, constant
+    -(t^d mod f)_j.  The sieve evaluates L_j for every U at once and marks
+    h's position rank(U) + sum_j L_j q^(d-1-j) in canonical order.
     """
     if d < 1:
         raise ValueError("degree must be positive")
@@ -473,16 +477,25 @@ def irreducibles_of_degree(spec: FieldSpec, d: int):
             % (spec.q**d, DEFAULT_ENUM_LIMIT)
         )
     q, one = spec.q, spec.one_idx
-
-    def monics(e):  # canonical order: (c0, ..., c_{e-1}) lexicographic
-        return (low + (one,) for low in itertools.product(range(q), repeat=e))
-
+    add, mul, neg = spec.add, spec.mul, spec.neg
+    field = range(q)
     reducible = bytearray(q**d)  # flags by position in canonical order
     for e in range(1, d // 2 + 1):
         for f in irreducibles_of_degree(spec, e):
-            for g in monics(d - e):
-                rank = 0
-                for c in pmul(spec, f.coeffs, g)[:-1]:
-                    rank = rank * q + c
-                reducible[rank] = 1
-    return [Poly(spec, f) for f, r in zip(monics(d), reducible) if not r]
+            # affine[i][j] = -(t^(e+i) mod f)_j; row d - e is the constant
+            affine = []
+            for i in range(d - e + 1):
+                rem = pdivmod(spec, (0,) * (e + i) + (one,), f.coeffs)[1]
+                affine.append([neg(c) for c in rem] + [0] * (e - len(rem)))
+            ranks = range(q ** (d - e))  # rank(U), U_0 most significant
+            for j in range(e):
+                coord = [affine[d - e][j]]
+                for i in range(d - e):
+                    multiples = [mul(affine[i][j], u) for u in field]
+                    coord = [add(c, m) for c in coord for m in multiples]
+                weight = q ** (d - 1 - j)
+                ranks = [r + c * weight for r, c in zip(ranks, coord)]
+            for r in ranks:
+                reducible[r] = 1
+    monics = itertools.product(field, repeat=d)  # (c0, ..., c_{d-1}) lexicographic
+    return [Poly(spec, low + (one,)) for low, r in zip(monics, reducible) if not r]

@@ -261,6 +261,8 @@ def test_count_expect_single_q_says_why(capsys):
         (["group", "--n", "30", "--d", "1", "--qs", "2,4"], 931),
         (["group", "--n", "1", "--d", "1", "--qs", "2,4"], 3),
         (["commuting", "--n", "2", "--qs", "2"], None),
+        # 8 is no power of 4: the fit is left out, the exact degree decides
+        (["commuting", "--n", "2", "--qs", "4,8"], None),
     ],
 )
 def test_count_expect_reads_the_exact_degree(capsys, argv, fitted):
@@ -271,6 +273,8 @@ def test_count_expect_reads_the_exact_degree(capsys, argv, fitted):
     assert doc["match"] is True
     assert doc["exact_dimension"] == doc["expected_dimension"]
     assert doc["fitted_dimension"] == fitted
+    if fitted is None:
+        assert doc["raw_exponent"] is None and doc["residual"] is None
 
 
 def test_cli_import_leaves_numpy_out():
