@@ -1,13 +1,14 @@
 """Exact dense matrix algebra over a field instance.
 
 Covers commutators (Lie and group), row reduction and linear solving (one
-RREF per solve), the commutator linear system ad_A, and the similarity
+forward elimination behind det, rank, inverse, kernels and solves; one RREF
+per solve), the commutator linear system ad_A, and the similarity
 invariants read off one Smith normal form of tI - A over F_q[t] (invariant
 factors; the minimal polynomial is the last, regularity means there is just
 one).  Tracking that SNF's row transform gives the rational canonical form
-with its transport (rcf_transform), from which similarity transports and
-regular commuting elements are both built.  Only Jordan type uses a
-splitting field.
+with its transport (rcf_transform), from which typea_group's zeta-solution
+witnesses and regular commuting elements are both built.  Only Jordan type
+uses a splitting field.
 
 Matrix text format: rows separated by ';', entries by ',', entries in
 element text form, e.g. "0,0;1,0".
@@ -222,24 +223,7 @@ class Mat:
     def det(self) -> Fe:
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        spec = self.spec
-        m = [list(r) for r in self.rows]
-        n = len(m)
-        det = spec.one_idx
-        for c in range(n):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                return spec.zero
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = spec.neg(det)
-            det = spec.mul(det, m[c][c])
-            inv = spec.inv(m[c][c])
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = spec.mul(m[i][c], inv)
-                    m[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(m[i], m[c])]
-        return Fe(spec, det)
+        return Fe(self.spec, _echelon_rows(self.spec, [list(r) for r in self.rows])[3])
 
     def inverse(self) -> "Mat":
         if not self.is_square:
@@ -313,17 +297,21 @@ def group_commutator(x: Mat, y: Mat) -> Mat:
 # -- row reduction and linear solving ----------------------------------------
 
 def _echelon_rows(spec: FieldSpec, rows):
-    """In-place row echelon form of a list of row lists; returns (rows, rank, pivots).
+    """In-place row echelon form of a list of row lists; returns
+    (rows, rank, pivots, det).
 
     Forward elimination only: each pivot is scaled to 1 and cleared below,
     and the entries above it are left as they are.  Pivoting is
     deterministic: columns scanned left to right, first row with a nonzero
-    entry wins.
+    entry wins.  For square input det is the determinant: the product of
+    the pivots before scaling, negated once per row swap, and 0 below full
+    rank.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     sub, mul, inv = spec.sub, spec.mul, spec.inv
     pivots = []
+    det = spec.one_idx
     r = 0
     for c in range(n_cols):
         if r == n_rows:
@@ -333,7 +321,9 @@ def _echelon_rows(spec: FieldSpec, rows):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            det = spec.neg(det)
         if rows[r][c] != spec.one_idx:
+            det = mul(det, rows[r][c])
             iv = inv(rows[r][c])
             rows[r] = [mul(iv, a) for a in rows[r]]
         prow = rows[r]
@@ -343,7 +333,7 @@ def _echelon_rows(spec: FieldSpec, rows):
                 rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
-    return rows, r, tuple(pivots)
+    return rows, r, tuple(pivots), det if r == n_rows else 0
 
 
 def _rref_rows(spec: FieldSpec, rows):
@@ -352,7 +342,7 @@ def _rref_rows(spec: FieldSpec, rows):
     The row echelon form with every pivot column then cleared above its
     pivot, so the pivots are those of _echelon_rows.
     """
-    rows, _, pivots = _echelon_rows(spec, rows)
+    rows, _, pivots, _ = _echelon_rows(spec, rows)
     sub, mul = spec.sub, spec.mul
     for r, c in enumerate(pivots):
         prow = rows[r]
@@ -702,30 +692,21 @@ def rcf_transform(a: Mat):
     return Mat.from_cols(spec, cols), factors
 
 
-def similarity_transform(a: Mat, b: Mat):
-    """A matrix g with g^-1 A g = B, or None when A and B are not similar.
-
-    A and B are similar iff the factor lists of their rational canonical
-    forms agree; then both transports map onto the same direct sum.
-    """
-    pa, fa = rcf_transform(a)
-    pb, fb = rcf_transform(b)
-    if fa != fb:
-        return None
-    return pa @ pb.inverse()
-
-
 def primary_data(a: Mat):
     """Primary decomposition data: sorted tuple of (irreducible, partition).
 
     The partition entries are the multiplicities of the irreducible in the
     invariant factors, descending.
     """
-    inf = invariant_factors(a)
+    return _primary_data(invariant_factors(a).factors)
+
+
+def _primary_data(factors):
+    """primary_data from the invariant factors d_1 | ... | d_s themselves."""
     out = []
-    for f, _ in polyring.factor(inf.minimal):
+    for f, _ in polyring.factor(factors[-1]):
         parts = []
-        for d in inf.factors:
+        for d in factors:
             mult = 0
             while True:
                 q, r = divmod(d, f)

@@ -5,8 +5,10 @@ cyclic block permutation rho with [D, rho] = zeta I, tests whether a matrix
 is conjugate to its zeta-multiple, and describes the full solution set of
 [x, y] = zeta I over a fixed x as a centralizer coset.
 
-Conjugacy testing works with invariant factors over the base field; no
-eigenvalue data in extensions is needed for any of these operations.
+Conjugacy testing works with invariant factors over the base field; the
+solution coset over x, its witness and its size come from one rational
+canonical form of x.  No eigenvalue data in extensions is needed for any
+of these operations.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .errors import MathCheckFailed
 from .gf import Fe, FieldSpec, root_of_unity
 from .matgf import (
     Mat,
+    _primary_data,
     block_diag,
     group_commutator,
     invariant_factors,
-    primary_data,
-    similarity_transform,
+    rcf_transform,
 )
 
 
@@ -128,9 +130,13 @@ class SolutionCoset:
 def solution_set_for_x(x: Mat, zeta):
     """Solution set of [x, y] = zeta I, or None when empty.
 
-    The witness is a similarity transport carrying x onto zeta x, computed
-    from the two rational canonical decompositions; the full set is the
-    centralizer coset C_GL(x) . witness, of size |C_GL(x)|.
+    One rational canonical form P^-1 x P = C(d_1) + ... + C(d_s) answers
+    everything.  zeta C(d) = S C(d') S^-1 with S = diag(1, zeta, ...,
+    zeta^(deg d - 1)) and d' = twist_poly(d, zeta), so x ~ zeta x iff the
+    twist fixes every d_i, and then y = P S^-1 P^-1, with S the direct sum
+    over the blocks, carries x onto zeta x.  The full set is the
+    centralizer coset C_GL(x) . y, of size |C_GL(x)|, read off the primary
+    data of the same factors.
     """
     spec = x.spec
     zeta = spec.el(zeta)
@@ -138,10 +144,14 @@ def solution_set_for_x(x: Mat, zeta):
         raise ValueError("zeta must be a unit")
     if not x.is_invertible():
         raise ValueError("x must be invertible")
-    witness = similarity_transform(x, x * zeta)
-    if witness is None:
+    p, factors = rcf_transform(x)
+    if any(census.twist_poly(f, zeta) != f for f in factors):
         return None
-    order = census.centralizer_order_from_primary(primary_data(x), spec.q)
+    s_inv = block_diag(
+        spec, [Mat.scalar(spec, 1, zeta**-i) for f in factors for i in range(f.degree)]
+    )
+    witness = p @ s_inv @ p.inverse()
+    order = census.centralizer_order_from_primary(_primary_data(factors), spec.q)
     coset = SolutionCoset(x, zeta, witness, order)
     if group_commutator(x, witness) != Mat.scalar(spec, x.n_rows, zeta):
         raise MathCheckFailed("transport witness fails the commutator identity")

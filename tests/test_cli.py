@@ -124,6 +124,17 @@ def test_verify_refuses_nonpositive_n_and_d(capsys):
         assert [c["status"] for c in doc["checks"]] == ["skipped"] * 2
 
 
+def test_sampled_coset_law_meets_the_brute_walk(capsys, monkeypatch):
+    # (3, 3, 4) samples its x, and each still meets the brute solution walk,
+    # so a walk that is off by one fails the law
+    group_solutions = census._group_solutions
+    monkeypatch.setattr(census, "_group_solutions", lambda x, zeta: group_solutions(x, zeta) + 1)
+    code, doc = run_json(capsys, ["verify", "--suite", "group", "--n", "3", "--d", "3", "--q", "4"])
+    check = next(c for c in doc["checks"] if c["name"] == "solution_coset_law")
+    assert code == 1 and doc["ok"] is False
+    assert (check["mode"], check["status"], check["failures"]) == ("sampled", "fail", 10)
+
+
 def test_count_lie_with_expect(capsys):
     code, doc = run_json(
         capsys, ["count", "lie", "--p", "2", "--n", "2", "--qs", "2,4,8", "--expect"]
@@ -358,7 +369,16 @@ def test_classes_report_equals_stdlib_encoding(capsys, n, q, invertible):
     argv = ["classes", "--n", str(n), "--q", str(q)] + ["--invertible"] * invertible
     code, out, _ = run(capsys, argv)
     assert code == 0
-    assert out == json.dumps(_classes_doc_reference(n, q, invertible), indent=2) + "\n"
+    expected = json.dumps(_classes_doc_reference(n, q, invertible), indent=2) + "\n"
+    # a bool, not the strings: pytest's diff of multi-megabyte reports runs for minutes
+    same = out == expected
+    assert same, _first_difference(out, expected)
+
+
+def _first_difference(out, expected):
+    got, want = out.splitlines(), expected.splitlines()
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return "line %d: %r != %r" % (i + 1, got[i : i + 1], want[i : i + 1])
 
 
 def test_classes_output_file_and_limit(capsys, tmp_path):
@@ -405,6 +425,33 @@ def test_src_stores_no_unread_name():
                 if name not in loaded and name != "_"
             }
     assert sorted(offenders) == []
+
+
+def test_src_defines_no_orphan():
+    # every module-level def or class is loaded somewhere in src, as a name
+    # or an attribute, or is exported by commvar/__init__.py
+    src = Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    used |= {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    offenders = [
+        "%s:%d %s" % (name, node.lineno, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert offenders == []
 
 
 def test_src_reads_no_environment():

@@ -6,6 +6,7 @@ import pytest
 
 from commvar import gf, matgf as mg
 from commvar import polyring as pr
+from commvar import typea_group as tg
 
 F2 = gf.field(2)
 F3 = gf.field(3)
@@ -101,6 +102,29 @@ def test_group_commutator_examples():
             assert mg.group_commutator(g, h).det() == F5.one
     with pytest.raises(ValueError):
         mg.group_commutator(mg.Mat.zeros(F3, 2, 2), x)
+
+
+def test_det_matches_leibniz_expansion():
+    # det A = (-1)^n det(0 I - A), the constant term of the Leibniz charpoly;
+    # the rows of a triangular matrix, shuffled, make the elimination swap
+    rng = random.Random(14)
+    for spec in (F2, F3, F5, F4, gf.field(2, 3), gf.field(3, 2)):
+        for n in range(1, 5):
+            for _ in range(15):
+                a = random_mat(spec, n, rng)
+                upper = [
+                    [rng.randrange(j == i, spec.q) if j >= i else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+                swapped = mg.Mat(spec, rng.sample(upper, n))
+                rows = [list(r) for r in a.rows]
+                c = rng.randrange(spec.q)
+                rows[-1] = [spec.mul(c, e) for e in rows[0]] if n > 1 else [0]
+                singular = mg.Mat(spec, rows)
+                for m in (a, swapped, singular):
+                    const = charpoly_leibniz(m).coeffs[0]
+                    assert m.det().idx == (spec.neg(const) if n % 2 else const)
+                assert swapped.det() and not singular.det()
 
 
 def test_rref_examples():
@@ -230,17 +254,19 @@ def test_one_snf_per_similarity_question_and_one_rref_per_solve(monkeypatch):
                 calls["snf"] = 0
                 question(a)
                 assert calls["snf"] == 1, question.__name__
-            # two SNFs per similarity transport, similar pair or not
-            other = mg.Mat.identity(spec, 3) if a.is_zero else mg.Mat.zeros(spec, 3, 3)
-            for b, similar in ((a.transpose(), True), (other, False)):
-                calls["snf"] = 0
-                assert (mg.similarity_transform(a, b) is not None) == similar
-                assert calls["snf"] == 2
             x = tuple(rng.randrange(spec.q) for _ in range(3))
             for b in (a.apply(x), (1, 0, 0)):
                 calls["rref"] = 0
                 mg.solve_affine(a, b)
                 assert calls["rref"] == 1
+    # one SNF per zeta-solution coset, whether x ~ zeta x or not
+    for spec, n, d in ((F3, 2, 2), (F4, 3, 3), (F5, 4, 2)):
+        inst = tg.zeta_instance(spec, n, d)
+        a = mg.random_matrix(spec, n // d, rng, invertible=True)
+        for x, in_w in ((tg.build_d_matrix(inst, a), True), (mg.Mat.identity(spec, n), False)):
+            calls["snf"] = 0
+            assert (tg.solution_set_for_x(x, inst.zeta) is not None) == in_w
+            assert calls["snf"] == 1
     # too few elements for the shifts: the field grows, on the same SNF
     for zero, grown in ((mg.Mat.zeros(F2, 3, 3), 4), (mg.Mat.zeros(F3, 4, 4), 9)):
         calls["snf"] = 0
@@ -262,22 +288,6 @@ def test_similarity_classifier_exhaustive_2x2():
                 assert (mg.invariant_factors(b) == fa) == (b in orbit_of[a])
 
 
-def test_similarity_transform():
-    rng = random.Random(9)
-    for trial in range(30):
-        spec = [F2, F3, F5][trial % 3]
-        n = rng.randrange(1, 4)
-        a = random_mat(spec, n, rng)
-        while True:
-            g = random_mat(spec, n, rng)
-            if g.is_invertible():
-                break
-        b = g.inverse() @ a @ g
-        t = mg.similarity_transform(a, b)
-        assert t is not None and t.inverse() @ a @ t == b
-    assert mg.similarity_transform(mg.Mat.identity(F2, 2), mg.Mat.zeros(F2, 2, 2)) is None
-
-
 def test_rcf_transform_postcondition():
     rng = random.Random(10)
     for trial in range(30):
@@ -297,7 +307,6 @@ def test_similarity_questions_reject_non_square(shape):
         mg.rcf_transform,
         mg.jordan_type,
         mg.regular_commuting,
-        lambda m: mg.similarity_transform(m, m),
     )
     for question in questions:
         with pytest.raises(ValueError, match="non-square"):

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import _literal_scan as ls  # noqa: E402
-from commvar import census as cs, gf, matgf as mg  # noqa: E402
+from commvar import census as cs, gf, matgf as mg, typea_group as tg  # noqa: E402
 from commvar.polyring import Poly  # noqa: E402
 
 FIELDS = [gf.field(2), gf.field(3), gf.field(2, 2), gf.field(5), gf.field(7), gf.field(3, 2)]
@@ -26,18 +26,35 @@ def matrices(draw):
     return mg.Mat(spec, draw(st.lists(entries, min_size=n, max_size=n)))
 
 
-@st.composite
-def conjugate_pairs(draw):
-    """(a, g) with g invertible of the same size over the same field."""
-    a = draw(matrices())
-    spec, n = a.spec, a.n_rows
+def invertibles(spec, n):
     entries = st.lists(st.integers(0, spec.q - 1), min_size=n, max_size=n)
-    g = draw(
+    return (
         st.lists(entries, min_size=n, max_size=n)
         .map(lambda rows: mg.Mat(spec, rows))
         .filter(lambda m: m.is_invertible())
     )
-    return a, g
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """(a, g) with g invertible of the same size over the same field."""
+    a = draw(matrices())
+    return a, draw(invertibles(a.spec, a.n_rows))
+
+
+@st.composite
+def zeta_cases(draw):
+    """(x, zeta): zeta of an order d | q - 1 and x invertible.  Free draws
+    are rarely conjugate to zeta x for d > 1, so when d | n, x may also be
+    a conjugate of diag(A, zeta A, ..., zeta^(d-1) A), which always is."""
+    spec = draw(st.sampled_from(FIELDS))
+    d = draw(st.sampled_from([d for d in range(1, spec.q) if (spec.q - 1) % d == 0]))
+    n = draw(st.integers(1, 4))
+    x = draw(invertibles(spec, n))
+    if n % d == 0 and draw(st.booleans()):
+        inst = tg.zeta_instance(spec, n, d)
+        x = x.inverse() @ tg.build_d_matrix(inst, draw(invertibles(spec, n // d))) @ x
+    return x, gf.root_of_unity(spec, d)
 
 
 @properties
@@ -48,13 +65,13 @@ def test_invariant_factors_survive_conjugation(pair):
 
 
 @properties
-@given(conjugate_pairs())
-def test_similarity_transform_witnesses_conjugacy(pair):
-    a, g = pair
-    b = g.inverse() @ a @ g
-    w = mg.similarity_transform(a, b)
-    assert w is not None and w.is_invertible()
-    assert w.inverse() @ a @ w == b
+@given(zeta_cases())
+def test_solution_coset_witnesses_zeta_conjugacy(case):
+    x, zeta = case
+    coset = tg.solution_set_for_x(x, zeta)
+    assert (coset is None) == (not tg.is_conjugate_to_zeta_x(x, zeta))
+    if coset is not None:
+        assert coset.witness.inverse() @ x @ coset.witness == x * zeta
 
 
 # companion(t) + companion(t(t + 1)) over F_2: the distinct shifts 0 and 1

@@ -126,27 +126,28 @@ def test_is_conjugate_examples():
 
 
 def test_solution_set_exhaustive_gl2_f3():
-    zeta = F3.el(2)
     invertibles = all_invertible(F3, 2)
     assert len(invertibles) == 48
-    zi = mg.Mat.scalar(F3, 2, zeta)
-    total = 0
-    for x in invertibles:
-        brute = [y for y in invertibles if mg.group_commutator(x, y) == zi]
-        coset = tg.solution_set_for_x(x, zeta)
-        if coset is None:
-            assert not tg.is_conjugate_to_zeta_x(x, zeta)
-            assert brute == []
-        else:
-            assert tg.is_conjugate_to_zeta_x(x, zeta)
-            assert len(brute) == coset.count == coset.centralizer_order
-            assert coset.contains(coset.witness)
-            assert all(coset.contains(y) for y in brute)
-            assert sum(1 for y in invertibles if coset.contains(y)) == len(brute)
-        # the per-x solution-space walk behind the brute group count and verify
-        assert census._group_solutions(x, zeta) == len(brute)
-        total += len(brute)
-    assert total == census.count_group_pairs(2, F3, zeta, "class")
+    # zeta = 1 also covers x with two invariant factors, the scalars
+    for zeta in (F3.el(2), F3.one):
+        zi = mg.Mat.scalar(F3, 2, zeta)
+        total = 0
+        for x in invertibles:
+            brute = [y for y in invertibles if mg.group_commutator(x, y) == zi]
+            coset = tg.solution_set_for_x(x, zeta)
+            if coset is None:
+                assert not tg.is_conjugate_to_zeta_x(x, zeta)
+                assert brute == []
+            else:
+                assert tg.is_conjugate_to_zeta_x(x, zeta)
+                assert len(brute) == coset.count == coset.centralizer_order
+                assert coset.contains(coset.witness)
+                assert all(coset.contains(y) for y in brute)
+                assert sum(1 for y in invertibles if coset.contains(y)) == len(brute)
+            # the per-x solution-space walk behind the brute group count and verify
+            assert census._group_solutions(x, zeta) == len(brute)
+            total += len(brute)
+        assert total == census.count_group_pairs(2, F3, zeta, "class")
 
 
 def test_solution_set_empty_for_central_x():
