@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from decimal import Decimal
 
 from . import census, gf, matgf, polyring, typea_group, weyl
@@ -283,8 +284,10 @@ def _suite_group(args, limits) -> list[dict]:
             failures=bad,
         )
     )
-    # coset law over every invertible x when small, else 10 seeded samples;
-    # each coset's size meets the brute solution walk wherever that fits
+    # coset law over every invertible x when small, else 10 seeded samples
+    # and 5 seeded conjugates g^-1 D g of block matrices D = build_d_matrix,
+    # which lie in W and so always carry a witness; each coset's size meets
+    # the brute solution walk wherever that fits
     size = census.gl_order(args.n, spec.q)
     brute = spec.q ** (args.n**2) <= limits.max_brute
     exhaustive = size * size <= 200_000 and brute
@@ -292,6 +295,10 @@ def _suite_group(args, limits) -> list[dict]:
         xs = filter(matgf.Mat.is_invertible, census._all_matrices(spec, args.n))
     else:
         xs = [matgf.random_matrix(spec, args.n, rng, invertible=True) for _ in range(10)]
+        for _ in range(5):
+            block = matgf.random_matrix(spec, m, rng, invertible=True)
+            g = matgf.random_matrix(spec, args.n, rng, invertible=True)
+            xs.append(g.inverse() @ typea_group.build_d_matrix(inst, block) @ g)
     bad = witnesses = 0
     for x in xs:
         coset = typea_group.solution_set_for_x(x, inst.zeta)
@@ -337,10 +344,18 @@ def _suite_lie_trace(args, limits) -> list[dict]:
     return [_check("trace_obstruction", "pass" if ok else "fail", **details)]
 
 
+def _square_sum(keys) -> int:
+    """The sum of the squared class sizes of a list of class keys."""
+    return sum(c * c for c in Counter(keys).values())
+
+
 def _suite_canon(args, limits) -> list[dict]:
     rng = random.Random(args.seed)
     checks = []
-    # invariant factors classify similarity: exhaustive 2x2 over F_2 and F_3
+    # invariant factors classify similarity: exhaustive 2x2 over F_2 and F_3.
+    # The ordered pairs on which "equal factors" and "same orbit" disagree
+    # number sum|F|^2 + sum|O|^2 - 2 sum|F n O|^2 over the classes F of equal
+    # factors, the orbits O and the (factors, orbit) classes F n O.
     bad = 0
     for q in (2, 3):
         spec = gf.field(q)
@@ -352,9 +367,9 @@ def _suite_canon(args, limits) -> list[dict]:
             if a not in orbit:
                 members = frozenset(g @ a @ g_inv for g, g_inv in gl)
                 orbit.update(dict.fromkeys(members, members))
-        bad += sum(
-            (factors[a] == factors[b]) != (orbit[a] is orbit[b]) for a in mats for b in mats
-        )
+        keys = [(factors[a], orbit[a]) for a in mats]
+        bad += (_square_sum(f for f, _ in keys) + _square_sum(o for _, o in keys)
+                - 2 * _square_sum(keys))
     checks.append(
         _check("invariant_factor_similarity", "pass" if bad == 0 else "fail",
                fields=[2, 3], size=2, failures=bad)

@@ -6,9 +6,12 @@ F_p, with coefficient tuples compared constant term first.  Elements are
 stored as packed integer indices whose base-p digits are the coefficients
 (c0, c1, ..., c_{k-1}) with the constant term c0 in the most significant
 position, so that integer order on indices equals the canonical
-coefficient-tuple order.  All arithmetic is exact.  A field with k > 1 and
-q <= 256 builds its addition, negation, multiplication and inverse tables
-when it is constructed; larger fields compute on coefficients.
+coefficient-tuple order.  All arithmetic is exact.  Every field with
+q <= 256, prime fields included, builds its addition, subtraction,
+negation, multiplication and inverse tables when it is constructed; larger
+fields compute on coefficients.  The matrix and polynomial kernels read
+(add, sub, mul) through FieldSpec._tables() as t[a][b], on the tables or,
+for q > 256, on row views over the scalar methods.
 
 Text form of an element: a decimal residue for k = 1, and a bracketed
 coefficient tuple "[c0,c1,...]" (constant term first) for k > 1.
@@ -21,7 +24,7 @@ import itertools
 
 from .errors import MathCheckFailed
 
-_TABLE_MAX_Q = 256  # build full add/mul tables only for small fields
+_TABLE_MAX_Q = 256  # build full lookup tables only for small fields
 
 
 def _is_prime(n: int) -> bool:
@@ -58,7 +61,7 @@ class FieldSpec:
     specs with equal (p, k) are the same object with the same modulus.
     """
 
-    __slots__ = ("p", "k", "modulus", "q", "_add_t", "_mul_t", "_inv_t", "_neg_t")
+    __slots__ = ("p", "k", "modulus", "q", "_add_t", "_sub_t", "_mul_t", "_inv_t", "_neg_t")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
@@ -66,6 +69,7 @@ class FieldSpec:
         self.modulus = modulus
         self.q = p**k
         self._add_t = None
+        self._sub_t = None
         self._mul_t = None
         self._inv_t = None
         self._neg_t = None
@@ -111,6 +115,9 @@ class FieldSpec:
     def sub(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
+        t = self._sub_t
+        if t is not None:
+            return t[a][b]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -170,13 +177,21 @@ class FieldSpec:
         # coeffs (1, 0, ..., 0)
         return self.p ** (self.k - 1)
 
-    def ensure_tables(self) -> None:
-        """Build the lookup tables if k > 1 and q <= 256; the constructor calls it.
+    def _tables(self):
+        """(add, sub, mul), each read as t[a][b] on packed indices: the
+        lookup tables, or for q > 256 row views over the scalar methods."""
+        if self._mul_t is not None:
+            return self._add_t, self._sub_t, self._mul_t
+        return _ScalarRows(self.add), _ScalarRows(self.sub), _ScalarRows(self.mul)
 
-        Sums come digit by digit mod p, products and inverses from the q - 2
-        powers of the smallest primitive element.
+    def ensure_tables(self) -> None:
+        """Build the lookup tables if q <= 256; the constructor calls it.
+
+        Sums come digit by digit mod p, differences by negating the second
+        argument (p = 2 shares the sum table), products and inverses from
+        the q - 2 powers of the smallest primitive element.
         """
-        if self.k == 1 or self._mul_t is not None or self.q > _TABLE_MAX_Q:
+        if self._mul_t is not None or self.q > _TABLE_MAX_Q:
             return
         p, q = self.p, self.q
         add = [[0]]
@@ -189,8 +204,10 @@ class FieldSpec:
             power.append(self._mul_slow(power[-1], g))
         logs = sorted(range(q - 1), key=power.__getitem__)  # logs[a - 1] = log_g(a)
         power += power  # exponents up to 2(q - 2) index without reduction
+        neg = [row.index(0) for row in add]
         self._add_t = add
-        self._neg_t = [row.index(0) for row in add]
+        self._sub_t = add if p == 2 else [[row[b] for b in neg] for row in add]
+        self._neg_t = neg
         self._mul_t = [[0] * q] + [[0] + [power[i + j] for j in logs] for i in logs]
         self._inv_t = [0] + [power[q - 1 - i] for i in logs]
 
@@ -244,13 +261,36 @@ class FieldSpec:
         return "GF(%d^%d)" % (self.p, self.k)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
         )
 
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
+
+
+class _ScalarRows:
+    """fn(a, b) read as rows[a][b], the tables' access pattern, for q > 256."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return _ScalarRow(self.fn, a)
+
+
+class _ScalarRow:
+    __slots__ = ("fn", "a")
+
+    def __init__(self, fn, a):
+        self.fn = fn
+        self.a = a
+
+    def __getitem__(self, b):
+        return self.fn(self.a, b)
 
 
 class Fe:

@@ -115,11 +115,11 @@ class Mat:
         self._check(other)
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("shape mismatch")
-        add = self.spec.add
+        add = self.spec._tables()[0]
         return Mat(
             self.spec,
             [
-                [add(a, b) for a, b in zip(ra, rb)]
+                [add[a][b] for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ],
         )
@@ -128,11 +128,11 @@ class Mat:
         self._check(other)
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("shape mismatch")
-        sub = self.spec.sub
+        sub = self.spec._tables()[1]
         return Mat(
             self.spec,
             [
-                [sub(a, b) for a, b in zip(ra, rb)]
+                [sub[a][b] for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
             ],
         )
@@ -145,25 +145,13 @@ class Mat:
         self._check(other)
         if self.n_cols != other.n_rows:
             raise ValueError("shape mismatch")
-        mul, add = self.spec.mul, self.spec.add
-        bcols = [other.col(j) for j in range(other.n_cols)]
-        out = []
-        for row in self.rows:
-            out_row = []
-            for bc in bcols:
-                acc = 0
-                for a, b in zip(row, bc):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(self.spec, out)
+        # column j of the product is self applied to column j of other
+        return Mat(self.spec, zip(*[self.apply(col) for col in zip(*other.rows)]))
 
     def __mul__(self, other) -> "Mat":
         # scalar multiplication
-        c = self.spec.el(other).idx
-        mul = self.spec.mul
-        return Mat(self.spec, [[mul(c, a) for a in row] for row in self.rows])
+        mc = self.spec._tables()[2][self.spec.el(other).idx]
+        return Mat(self.spec, [[mc[a] for a in row] for row in self.rows])
 
     __rmul__ = __mul__
 
@@ -183,13 +171,14 @@ class Mat:
 
     def apply(self, v) -> tuple[int, ...]:
         """Matrix-vector product on a packed index vector."""
-        mul, add = self.spec.mul, self.spec.add
+        add, _, mul = self.spec._tables()
+        # products by the entries of v, column by column, summed per row
+        cols = [(mul[b], j) for j, b in enumerate(v) if b]
         out = []
         for row in self.rows:
             acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = add(acc, mul(a, b))
+            for mb, j in cols:
+                acc = add[acc][mb[row[j]]]
             out.append(acc)
         return tuple(out)
 
@@ -197,10 +186,10 @@ class Mat:
         return Mat(self.spec, zip(*self.rows))
 
     def trace(self) -> Fe:
-        add = self.spec.add
+        add = self.spec._tables()[0]
         acc = 0
         for i in range(self.n_rows):
-            acc = add(acc, self.rows[i][i])
+            acc = add[acc][self.rows[i][i]]
         return Fe(self.spec, acc)
 
     @property
@@ -309,9 +298,10 @@ def _echelon_rows(spec: FieldSpec, rows):
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
-    sub, mul, inv = spec.sub, spec.mul, spec.inv
+    _, sub, mul = spec._tables()
+    one = spec.one_idx
     pivots = []
-    det = spec.one_idx
+    det = one
     r = 0
     for c in range(n_cols):
         if r == n_rows:
@@ -321,16 +311,18 @@ def _echelon_rows(spec: FieldSpec, rows):
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            det = spec.neg(det)
-        if rows[r][c] != spec.one_idx:
-            det = mul(det, rows[r][c])
-            iv = inv(rows[r][c])
-            rows[r] = [mul(iv, a) for a in rows[r]]
+            det = sub[0][det]  # -det
+        lead = rows[r][c]
+        if lead != one:
+            det = mul[det][lead]
+            scale = mul[spec.inv(lead)]
+            rows[r] = [scale[a] for a in rows[r]]
         prow = rows[r]
         for i in range(r + 1, n_rows):
             f = rows[i][c]
             if f:
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                mf = mul[f]
+                rows[i] = [sub[a][mf[b]] for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return rows, r, tuple(pivots), det if r == n_rows else 0
@@ -343,13 +335,14 @@ def _rref_rows(spec: FieldSpec, rows):
     pivot, so the pivots are those of _echelon_rows.
     """
     rows, _, pivots, _ = _echelon_rows(spec, rows)
-    sub, mul = spec.sub, spec.mul
+    _, sub, mul = spec._tables()
     for r, c in enumerate(pivots):
         prow = rows[r]
         for i in range(r):
             f = rows[i][c]
             if f:
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+                mf = mul[f]
+                rows[i] = [sub[a][mf[b]] for a, b in zip(rows[i], prow)]
     return rows, len(pivots), pivots
 
 
@@ -425,7 +418,7 @@ def ad_matrix(a: Mat, b: Mat | None = None) -> Mat:
     b = a if b is None else b
     if (b.n_rows, b.n_cols) != (n, n):
         raise ValueError("shape mismatch")
-    sub = spec.sub
+    sub = spec._tables()[1]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -433,7 +426,7 @@ def ad_matrix(a: Mat, b: Mat | None = None) -> Mat:
             for k in range(n):
                 row[k * n + j] = a.rows[i][k]
             for l in range(n):
-                row[i * n + l] = sub(row[i * n + l], b.rows[l][j])
+                row[i * n + l] = sub[row[i * n + l]][b.rows[l][j]]
             rows.append(row)
     return Mat(spec, rows)
 
@@ -670,6 +663,7 @@ def rcf_transform(a: Mat):
     spec = a.spec
     n = a.n_rows
     diag, uinv = _snf_diag(spec, _char_matrix(a), track=True)
+    add = spec._tables()[0]
     cols = []
     factors = []
     for i, e in enumerate(diag):
@@ -683,7 +677,7 @@ def rcf_transform(a: Mat):
         for deg in range(maxdeg, -1, -1):
             v = a.apply(v)
             v = tuple(
-                spec.add(x, col[r][deg] if len(col[r]) > deg else 0)
+                add[x][col[r][deg] if len(col[r]) > deg else 0]
                 for r, x in enumerate(v)
             )
         for _ in range(len(e) - 1):

@@ -32,43 +32,32 @@ def pnormalize(coeffs) -> tuple[int, ...]:
 
 
 def padd(spec: FieldSpec, f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    add = spec.add
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = add(out[i], c)
-    return pnormalize(out)
+    add = spec._tables()[0]
+    return pnormalize([add[a][b] for a, b in itertools.zip_longest(f, g, fillvalue=0)])
 
 
 def psub(spec: FieldSpec, f, g):
-    sub = spec.sub
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = sub(a, b)
-    return pnormalize(out)
+    sub = spec._tables()[1]
+    return pnormalize([sub[a][b] for a, b in itertools.zip_longest(f, g, fillvalue=0)])
 
 
 def pscale(spec: FieldSpec, f, c: int):
     if c == 0:
         return ()
-    mul = spec.mul
-    return pnormalize([mul(x, c) for x in f])
+    mc = spec._tables()[2][c]
+    return pnormalize([mc[x] for x in f])
 
 
 def pmul(spec: FieldSpec, f, g):
     if not f or not g:
         return ()
-    mul, add = spec.mul, spec.add
+    add, _, mul = spec._tables()
     out = [0] * (len(f) + len(g) - 1)
     for i, x in enumerate(f):
         if x:
-            for j, y in enumerate(g):
-                if y:
-                    out[i + j] = add(out[i + j], mul(x, y))
+            mx = mul[x]
+            for j, y in enumerate(g, i):
+                out[j] = add[out[j]][mx[y]]
     return pnormalize(out)
 
 
@@ -77,18 +66,18 @@ def pdivmod(spec: FieldSpec, f, g):
         raise ZeroDivisionError("polynomial division by zero")
     if len(f) < len(g):
         return (), tuple(f)
-    mul, sub = spec.mul, spec.sub
-    inv_lead = spec.inv(g[-1])
+    _, sub, mul = spec._tables()
+    scale = mul[spec.inv(g[-1])]
     rem = list(f)
     dg = len(g) - 1
     quo = [0] * (len(f) - dg)
     for i in range(len(f) - 1, dg - 1, -1):
         c = rem[i]
         if c:
-            c = mul(c, inv_lead)
-            quo[i - dg] = c
-            for j in range(dg + 1):
-                rem[i - dg + j] = sub(rem[i - dg + j], mul(c, g[j]))
+            c = quo[i - dg] = scale[c]
+            mc = mul[c]
+            for j, y in enumerate(g, i - dg):
+                rem[j] = sub[rem[j]][mc[y]]
     return pnormalize(quo), pnormalize(rem)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from commvar import census, cli, matgf, typea_group
+from commvar import census, cli, gf, matgf, typea_group
 
 
 def run(capsys, argv):
@@ -125,14 +125,56 @@ def test_verify_refuses_nonpositive_n_and_d(capsys):
 
 
 def test_sampled_coset_law_meets_the_brute_walk(capsys, monkeypatch):
-    # (3, 3, 4) samples its x, and each still meets the brute solution walk,
-    # so a walk that is off by one fails the law
+    # (3, 3, 4) samples its x (10 random ones and 5 conjugates of block
+    # matrices), and each still meets the brute solution walk, so a walk
+    # that is off by one fails the law
     group_solutions = census._group_solutions
     monkeypatch.setattr(census, "_group_solutions", lambda x, zeta: group_solutions(x, zeta) + 1)
     code, doc = run_json(capsys, ["verify", "--suite", "group", "--n", "3", "--d", "3", "--q", "4"])
     check = next(c for c in doc["checks"] if c["name"] == "solution_coset_law")
     assert code == 1 and doc["ok"] is False
-    assert (check["mode"], check["status"], check["failures"]) == ("sampled", "fail", 10)
+    assert (check["mode"], check["status"], check["failures"]) == ("sampled", "fail", 15)
+
+
+def test_sampled_coset_law_tests_witnesses_outside_the_brute_walk(capsys):
+    # q^(n^2) exceeds --max-brute here, so only the seeded conjugates of
+    # block matrices, which lie in W, give the law something to check
+    for n, d, q in ((6, 2, 3), (4, 4, 5)):
+        code, doc = run_json(
+            capsys, ["verify", "--suite", "group", "--n", str(n), "--d", str(d), "--q", str(q)]
+        )
+        check = next(c for c in doc["checks"] if c["name"] == "solution_coset_law")
+        assert code == 0 and check["mode"] == "sampled" and check["status"] == "pass"
+        assert check["witnesses"] >= 5, (n, d, q)
+
+
+def test_similarity_failures_count_the_disagreeing_pairs(capsys, monkeypatch):
+    # give the class of diag(1, 2) over F_3 the factors of the Jordan block
+    # J_2(1): the check must fail, on exactly the pairs of the literal loop
+    f3 = gf.field(3)
+    real = matgf.invariant_factors
+    diag_factors = real(matgf.Mat.from_text(f3, "1,0;0,2"))
+    jordan_factors = real(matgf.Mat.from_text(f3, "1,1;0,1"))
+
+    def merged(m):
+        factors = real(m)
+        return jordan_factors if factors == diag_factors else factors
+
+    monkeypatch.setattr(matgf, "invariant_factors", merged)
+    code, doc = run_json(capsys, ["verify", "--suite", "canon"])
+    check = next(c for c in doc["checks"] if c["name"] == "invariant_factor_similarity")
+    expected = 0
+    for q in (2, 3):
+        spec = gf.field(q)
+        mats = list(census._all_matrices(spec, 2))
+        gl = [(g, g.inverse()) for g in mats if g.is_invertible()]
+        orbit = {a: {g @ a @ g_inv for g, g_inv in gl} for a in mats}
+        expected += sum(
+            (merged(a) == merged(b)) != (b in orbit[a]) for a in mats for b in mats
+        )
+    assert expected == 2 * 12 * 8  # both orders of the two classes, of sizes 12 and 8
+    assert code == 1 and doc["ok"] is False
+    assert (check["status"], check["failures"]) == ("fail", expected)
 
 
 def test_count_lie_with_expect(capsys):

@@ -71,7 +71,7 @@ def test_inverse_exhaustive_small_fields():
     assert gf.field(5, 2)._inv_t is not None and gf.field(3, 6)._inv_t is None
 
 
-TABLE_FIELDS = [
+TABLE_FIELDS = [(2, 1), (3, 1), (251, 1)] + [
     (p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p**k <= 256
 ]
 
@@ -100,6 +100,8 @@ def test_tables_agree_with_coefficient_arithmetic(p, k):
         assert spec._mul_t[a][b] == spec._mul_slow(a, b), (a, b)
         summed = ((x + y) % p for x, y in zip(coeffs(a), coeffs(b)))
         assert spec._add_t[a][b] == spec.coeffs_to_idx(summed), (a, b)
+        diff = ((x - y) % p for x, y in zip(coeffs(a), coeffs(b)))
+        assert spec._sub_t[a][b] == spec.coeffs_to_idx(diff), (a, b)
     for a in range(q):
         assert spec._neg_t[a] == spec.coeffs_to_idx(-x % p for x in coeffs(a))
     for a in range(1, q):
@@ -109,10 +111,17 @@ def test_tables_agree_with_coefficient_arithmetic(p, k):
 def test_construction_builds_tables_up_to_256():
     for p, k in TABLE_FIELDS:
         fresh = gf.FieldSpec(p, k, gf.field(p, k).modulus)
-        assert None not in (fresh._add_t, fresh._neg_t, fresh._mul_t, fresh._inv_t)
-    for p, k in [(2, 9), (3, 6)]:
+        tables = (fresh._add_t, fresh._sub_t, fresh._neg_t, fresh._mul_t, fresh._inv_t)
+        assert None not in tables
+        assert (fresh._sub_t is fresh._add_t) == (p == 2)  # -1 = 1 in characteristic 2
+        assert fresh._tables() == (fresh._add_t, fresh._sub_t, fresh._mul_t)
+    for p, k in [(2, 9), (3, 6), (257, 1)]:
         spec = gf.field(p, k)
-        assert (spec._add_t, spec._neg_t, spec._mul_t, spec._inv_t) == (None,) * 4
+        assert (spec._add_t, spec._sub_t, spec._neg_t, spec._mul_t, spec._inv_t) == (None,) * 5
+        add, sub, mul = spec._tables()  # row views over the scalar methods
+        a, b = spec.q - 2, 3
+        scalar = (spec.add, spec.sub, spec.mul)
+        assert [t[a][b] for t in (add, sub, mul)] == [fn(a, b) for fn in scalar]
 
 
 @pytest.mark.parametrize("p,k", [(2, 9), (3, 6)])

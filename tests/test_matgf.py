@@ -416,3 +416,109 @@ def test_random_matrix_draws_row_major_and_redraws_until_invertible(seed):
                             break
                     assert mg.random_matrix(spec, n, rng, invertible) == expect
                 assert rng.getstate() == ref.getstate()
+
+
+def _scalar_matmul(a, b):
+    """a @ b through FieldSpec.add and FieldSpec.mul, one call per term."""
+    spec = a.spec
+    return mg.Mat(spec, [
+        [_scalar_dot(spec, row, col) for col in zip(*b.rows)] for row in a.rows
+    ])
+
+
+def _scalar_dot(spec, f, g):
+    acc = 0
+    for x, y in zip(f, g):
+        acc = spec.add(acc, spec.mul(x, y))
+    return acc
+
+
+def _scalar_rank(m):
+    """Gauss-Jordan rank through the scalar methods."""
+    spec, rows, rank = m.spec, [list(r) for r in m.rows], 0
+    for c in range(m.n_cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        iv = spec.inv(rows[rank][c])
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = spec.mul(row[c], iv)
+                rows[i] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _scalar_pmul(spec, f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = spec.add(out[i + j], spec.mul(x, y))
+    return pr.pnormalize(out)
+
+
+@pytest.mark.parametrize("p,k", [(17, 2), (2, 9)])
+def test_untabled_kernels_agree_with_scalar_arithmetic(p, k):
+    # q > 256: the kernels read the row views over the scalar methods
+    spec = gf.field(p, k)
+    assert spec._mul_t is None
+    rng = random.Random(spec.q)
+    one = mg.Mat.identity(spec, 4)
+    for _ in range(4):
+        a, b = random_mat(spec, 4, rng), random_mat(spec, 4, rng)
+        assert a @ b == _scalar_matmul(a, b)
+        low = _scalar_matmul(  # rank at most 2
+            mg.Mat(spec, [[rng.randrange(spec.q) for _ in range(2)] for _ in range(4)]),
+            mg.Mat(spec, [[rng.randrange(spec.q) for _ in range(4)] for _ in range(2)]),
+        )
+        for m in (a, low):
+            assert mg.rank(m) == _scalar_rank(m)
+            if _scalar_rank(m) == 4:
+                assert _scalar_matmul(m, m.inverse()) == one
+        f = tuple(rng.randrange(spec.q) for _ in range(7)) + (rng.randrange(1, spec.q),)
+        g = tuple(rng.randrange(spec.q) for _ in range(3)) + (rng.randrange(1, spec.q),)
+        assert pr.pmul(spec, f, g) == _scalar_pmul(spec, f, g)
+        quo, rem = pr.pdivmod(spec, f, g)
+        assert len(rem) < len(g)
+        back = _scalar_pmul(spec, quo, g) + (0,) * len(f)
+        assert pr.pnormalize([spec.add(x, y) for x, y in zip(back, rem + (0,) * len(f))]) == f
+
+
+@pytest.mark.parametrize("spec", [F3, gf.field(3, 2)])
+def test_kernels_make_no_scalar_arithmetic_call(spec, monkeypatch):
+    # with FieldSpec.add, sub and mul raising, the kernels still give the
+    # results of the scalar-method arithmetic and of the version before the
+    # tables (the pinned rational canonical form and kernel)
+    rng = random.Random(spec.q)
+    g = mg.random_matrix(spec, 3, rng, invertible=True)
+    c = g.inverse() @ mg.Mat.from_text(spec, "1,0,0;0,1,1;0,0,1") @ g  # factors t-1, (t-1)^2
+    mats = [c] + [mg.random_matrix(spec, 3, rng, invertible=i < 2) for i in range(4)]
+
+    def kernels():
+        out = []
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            out += [a + b, a - b, a @ b, mg.rank(a), mg.kernel_basis(mg.ad_matrix(a)),
+                    mg.invariant_factors(a), mg.rcf_transform(a)]
+            out.append(a.inverse() if a.is_invertible() else None)
+        return out
+
+    with monkeypatch.context() as scalar:
+        scalar.setattr(gf.FieldSpec, "_tables", lambda s: tuple(
+            gf._ScalarRows(fn) for fn in (s.add, s.sub, s.mul)))
+        expected = kernels()
+
+    def refuse(*args):
+        raise AssertionError("scalar field arithmetic in a kernel")
+
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(gf.FieldSpec, name, refuse)
+    assert kernels() == expected
+    p, factors = mg.rcf_transform(c)
+    pinned = {
+        3: ("1,0,0;0,0,1;1,1,0", ["2,1", "1,1,1"], [(1, 1, 0), (1, 0, 1)]),
+        9: ("[0,0],[0,0],[1,0];[0,1],[0,0],[2,1];[1,0],[1,1],[0,2]",
+            ["[2,0],[1,0]", "[1,0],[1,0],[1,0]"], [(1, 3, 0), (3, 0, 3)]),
+    }[spec.q]
+    kernel = mg.kernel_basis(c - mg.Mat.identity(spec, 3))
+    assert (p.to_text(), [f.to_text() for f in factors], kernel) == pinned
