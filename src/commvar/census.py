@@ -791,12 +791,13 @@ def _span_member(spec: FieldSpec, n: int, vectors, digits) -> Mat:
     """The n x n matrix with F_p-coordinates digits on the F_p-basis e_t b_j
     of the F_q-span of the row-major vectors b_j, coordinate j*k + t; e_t has
     packed index p^t, so for the unit vectors that is the lane order e*k + t."""
+    add, _, mul = spec._tables()
     entries = [0] * (n * n)
     for c, d in enumerate(digits):
         if d:
-            scale = d * spec.p ** (c % spec.k)  # the packed index of d e_t, digit-wise
+            scaled = mul[d * spec.p ** (c % spec.k)]  # times d e_t, of that packed index
             for e, y in enumerate(vectors[c // spec.k]):
-                entries[e] = spec.add(entries[e], spec.mul(scale, y))
+                entries[e] = add[entries[e]][scaled[y]]
     return _unvec(spec, entries, n)
 
 

@@ -4,16 +4,24 @@ All results are emitted as a single JSON document on stdout; human-readable
 summaries go to stderr.  Runs are deterministic for a given configuration:
 all randomness flows from --seed.
 
+The command line is one table (_TOP and _COMMANDS), read by _parse_args
+with argparse's grammar but without building a parser: global options come
+before the command, the command's positional and options follow in any
+order, an option takes "--opt value" or "--opt=value" and any prefix that
+only it starts with, and the last repeat wins.  -h/--help prints help made
+from the same table.
+
 Exit status: 0 all checks pass, 1 a mathematical check failed,
-2 configuration or feasibility error.
+2 configuration or feasibility error, or a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
+import re
 import sys
+import types
 from collections import Counter
 from decimal import Decimal
 
@@ -607,77 +615,186 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-# -- parser -------------------------------------------------------------------------
+# -- command line -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="commvar",
-        description="Exact commutator-variety constructions, checks, and censuses over finite fields.",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--max-classes", type=int, default=census.DEFAULT_LIMITS.max_classes)
-    parser.add_argument("--max-brute", type=int, default=census.DEFAULT_LIMITS.max_brute,
-                        help="brute scan limit")
-    parser.add_argument("--output", help="also write the JSON document to this path")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The grammar, read by _parse_args and by the help text.  An option is (flag,
+# kind, default, help): kind is int, str, bool for a flag that takes no value,
+# or the tuple of allowed values; default ... makes the option required.  A
+# command is (handler, help, positional, options), the positional a (dest,
+# choices) pair or None; the top level's positional is the command.
+_COMMANDS = {
+    "construct": (_cmd_construct, "build and verify a named matrix pair",
+                  ("target", ("weyl", "blockpair", "splitpair", "group")), (
+        ("--p", int, 2, ""),
+        ("--k", int, 1, ""),
+        ("--alpha", str, "0", ""),
+        ("--beta", str, "0", ""),
+        ("--r", int, 2, ""),
+        ("--scalars", str, "", "comma-separated field elements"),
+        ("--a", str, "", "splitpair scalars a_1..a_r"),
+        ("--b", str, "", "splitpair scalars b_1..b_r"),
+        ("--n", int, 2, ""),
+        ("--d", int, 2, ""),
+        ("--q", int, 3, ""),
+        ("--block", str, "", "matrix text for the group block seed"),
+    )),
+    "verify": (_cmd_verify, "run a named verification suite", None, (
+        ("--suite", (*_SUITES, "all"), ..., ""),
+        ("--p", int, 2, ""),
+        ("--k", int, 1, ""),
+        ("--r", int, 2, ""),
+        ("--n", int, 2, ""),
+        ("--d", int, 2, ""),
+        ("--q", int, 3, ""),
+    )),
+    "count": (_cmd_count, "census a variety over a list of field sizes",
+              ("variety", ("lie", "commuting", "group", "W")), (
+        ("--n", int, ..., ""),
+        ("--p", int, 0, "declared characteristic; every q must be a power of it"),
+        ("--qs", str, ..., "comma-separated field sizes"),
+        ("--d", int, 2, "order of zeta for group/W"),
+        ("--strategy", ("class", "brute", "both"), "class", ""),
+        ("--expect", bool, False, "exit nonzero when the exact dimension mismatches the formula"),
+    )),
+    "classes": (_cmd_classes, "enumerate conjugacy classes", None, (
+        ("--n", int, ..., ""),
+        ("--q", int, ..., ""),
+        ("--invertible", bool, False, ""),
+    )),
+    "dims": (_cmd_dims, "closed-form dimension arithmetic", ("family", ("lie", "group")), (
+        ("--p", int, 2, ""),
+        ("--n", int, ..., ""),
+        ("--d", int, 2, ""),
+    )),
+}
+_TOP = (None, "Exact commutator-variety constructions, checks, and censuses over finite fields.",
+        ("command", _COMMANDS), (
+    ("--seed", int, 0, "seed for all randomness"),
+    ("--max-classes", int, census.DEFAULT_LIMITS.max_classes, "class and build-step limit"),
+    ("--max-brute", int, census.DEFAULT_LIMITS.max_brute, "brute scan limit"),
+    ("--output", str, None, "also write the JSON document to this path"),
+))
+_HELP = ("-h/--help", bool, False, "show this help message and exit")
 
-    c = sub.add_parser("construct", help="build and verify a named matrix pair")
-    c.add_argument("target", choices=["weyl", "blockpair", "splitpair", "group"])
-    c.add_argument("--p", type=int, default=2)
-    c.add_argument("--k", type=int, default=1)
-    c.add_argument("--alpha", default="0")
-    c.add_argument("--beta", default="0")
-    c.add_argument("--r", type=int, default=2)
-    c.add_argument("--scalars", default="", help="comma-separated field elements")
-    c.add_argument("--a", default="", help="splitpair scalars a_1..a_r")
-    c.add_argument("--b", default="", help="splitpair scalars b_1..b_r")
-    c.add_argument("--n", type=int, default=2)
-    c.add_argument("--d", type=int, default=2)
-    c.add_argument("--q", type=int, default=3)
-    c.add_argument("--block", default="", help="matrix text for the group block seed")
-    c.set_defaults(func=_cmd_construct)
 
-    v = sub.add_parser("verify", help="run a named verification suite")
-    v.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
-    v.add_argument("--p", type=int, default=2)
-    v.add_argument("--k", type=int, default=1)
-    v.add_argument("--r", type=int, default=2)
-    v.add_argument("--n", type=int, default=2)
-    v.add_argument("--d", type=int, default=2)
-    v.add_argument("--q", type=int, default=3)
-    v.set_defaults(func=_cmd_verify)
+def _parse_args(argv):
+    """The namespace, and the errors, that argparse makes of argv."""
+    args = types.SimpleNamespace()
+    _read(args, "commvar", _TOP, argv)
+    return args
 
-    ct = sub.add_parser("count", help="census a variety over a list of field sizes")
-    ct.add_argument("variety", choices=["lie", "commuting", "group", "W"])
-    ct.add_argument("--n", type=int, required=True)
-    ct.add_argument("--p", type=int, default=0,
-                    help="declared characteristic; every q must be a power of it")
-    ct.add_argument("--qs", required=True, help="comma-separated field sizes")
-    ct.add_argument("--d", type=int, default=2, help="order of zeta for group/W")
-    ct.add_argument("--strategy", choices=["class", "brute", "both"], default="class")
-    ct.add_argument("--expect", action="store_true",
-                    help="exit nonzero when the exact dimension mismatches the formula")
-    ct.set_defaults(func=_cmd_count)
 
-    cl = sub.add_parser("classes", help="enumerate conjugacy classes")
-    cl.add_argument("--n", type=int, required=True)
-    cl.add_argument("--q", type=int, required=True)
-    cl.add_argument("--invertible", action="store_true")
-    cl.set_defaults(func=_cmd_classes)
+def _read(args, prog, entry, argv) -> list:
+    """Set on args what argv gives at one level of the table and return the
+    tokens it does not recognize; after a command, its own level reads on."""
+    _, _, positional, options = entry
+    flags = {"-h": _HELP, "--help": _HELP} | {opt[0]: opt for opt in options}
+    for flag, _, default, _ in options:
+        setattr(args, flag[2:].replace("-", "_"), default)
+    dest, choices = positional or (None, None)
+    missing = [dest] * bool(dest) + [opt[0] for opt in options if opt[2] is ...]
+    extras = []
+    try:
+        found = [_option(tok, flags) for tok in argv]  # argparse reports ambiguity first
+        i = 0
+        while i < len(argv):
+            tok, hit = argv[i], found[i]
+            i += 1
+            if hit is None and dest in missing:
+                setattr(args, dest, _value(dest, choices, tok))
+                missing.remove(dest)
+                if choices is _COMMANDS:
+                    args.func = _COMMANDS[tok][0]
+                    extras += _read(args, "%s %s" % (prog, tok), _COMMANDS[tok], argv[i:])
+                    break
+            elif hit is None or hit[0] is None:
+                extras.append(tok)
+            else:
+                (flag, kind, _, _), value = hit
+                if kind is bool and value is not None:
+                    raise ValueError("argument %s: ignored explicit argument %r" % (flag, value))
+                if hit[0] is _HELP:
+                    sys.stdout.write(_help(prog, entry))
+                    raise SystemExit(0)
+                if kind is not bool and value is None:
+                    if i == len(argv) or found[i] is not None:
+                        raise ValueError("argument %s: expected one argument" % flag)
+                    value, i = argv[i], i + 1
+                setattr(args, flag[2:].replace("-", "_"), _value(flag, kind, value))
+                if flag in missing:
+                    missing.remove(flag)
+        if missing:
+            raise ValueError("the following arguments are required: %s" % ", ".join(missing))
+        if extras and entry is _TOP:
+            raise ValueError("unrecognized arguments: %s" % " ".join(extras))
+    except ValueError as exc:
+        sys.stderr.write("%s\n%s: error: %s\n" % (_usage(prog, entry), prog, exc))
+        raise SystemExit(2) from None
+    return extras
 
-    d = sub.add_parser("dims", help="closed-form dimension arithmetic")
-    d.add_argument("family", choices=["lie", "group"])
-    d.add_argument("--p", type=int, default=2)
-    d.add_argument("--n", type=int, required=True)
-    d.add_argument("--d", type=int, default=2)
-    d.set_defaults(func=_cmd_dims)
 
-    return parser
+def _option(tok: str, flags: dict):
+    """(option, its "=" value or None) for a flag or a prefix that only it
+    starts with, (None, None) for an unknown option, None for a value."""
+    if tok in flags:
+        return flags[tok], None
+    if tok[:1] != "-" or tok == "-":
+        return None
+    name, eq, value = tok.partition("=")
+    if eq and name in flags:
+        return flags[name], value
+    matches = [f for f in flags if f.startswith(name)] if name[:2] == "--" and name != "--" else []
+    if len(matches) > 1:
+        raise ValueError("ambiguous option: %s could match %s" % (tok, ", ".join(matches)))
+    if matches:
+        return flags[matches[0]], value if eq else None
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", tok) or " " in tok else (None, None)
+
+
+def _value(name: str, kind, tok):
+    """tok as the value of the option or positional name; a flag's is True."""
+    if kind is bool:
+        return True
+    if isinstance(kind, type):
+        try:
+            return kind(tok)
+        except ValueError:
+            raise ValueError("argument %s: invalid %s value: %r" % (name, kind.__name__, tok)) from None
+    if tok not in kind:
+        raise ValueError("argument %s: invalid choice: %r (choose from %s)"
+                         % (name, tok, ", ".join(map(repr, kind))))
+    return tok
+
+
+def _metavar(flag: str, kind) -> str:
+    if kind is bool:
+        return flag
+    if isinstance(kind, type):
+        return "%s %s" % (flag, flag[2:].replace("-", "_").upper())
+    return "%s {%s}" % (flag, ",".join(kind))
+
+
+def _usage(prog: str, entry) -> str:
+    _, _, positional, options = entry
+    words = ["usage:", prog, "[-h]"] + [
+        _metavar(flag, kind) if default is ... else "[%s]" % _metavar(flag, kind)
+        for flag, kind, default, _ in options
+    ]
+    if positional:
+        words.append("{%s}" % ",".join(positional[1]) + " ..." * (entry is _TOP))
+    return " ".join(words)
+
+
+def _help(prog: str, entry) -> str:
+    _, summary, _, options = entry
+    rows = [(name, cmd[1]) for name, cmd in _COMMANDS.items()] if entry is _TOP else []
+    rows += [("-h, --help", _HELP[3])] + [(_metavar(o[0], o[1]), o[3]) for o in options]
+    lines = [("  %-32s %s" % row).rstrip() for row in rows]
+    return "%s\n\n%s\n\n%s\n" % (_usage(prog, entry), summary, "\n".join(lines))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (LimitExceeded, ValueError) as exc:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
+import _argparse_reference
 import pytest
 
 from commvar import census, cli, gf, matgf, typea_group
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -331,13 +335,22 @@ def test_count_expect_reads_the_exact_degree(capsys, argv, fitted):
 
 
 def test_cli_import_leaves_numpy_out():
-    code = "import sys, commvar.cli; print('numpy' in sys.modules)"
+    # neither importing the CLI nor a run imports numpy, or an argument parser
+    code = (
+        "import sys, commvar.cli\n"
+        "names = ('numpy', 'argparse', 'gettext')\n"
+        "print([m for m in names if m in sys.modules])\n"
+        "commvar.cli.main(['count', 'commuting', '--n', '2', '--qs', '2'])\n"
+        "print([m for m in names if m in sys.modules])\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
+    assert json.loads("\n".join(lines[1:-1]))["counts"][0]["count"] == "88"
 
 
 def test_cli_import_builds_no_field():
@@ -597,3 +610,92 @@ def test_output_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["--output", str(path), "dims", "lie", "--p", "2", "--n", "4"])
     assert code == 0
     assert path.read_text() == out
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    return [line.split()[1:] for line in section.splitlines() if line.startswith("commvar ")]
+
+
+def _bench_ops() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_module)
+    return [["--seed", "0"] + op.split() for ops in run_module.WORKLOADS.values() for op in ops]
+
+
+_VALID_ARGV = [
+    ["count", "lie", "--n=2", "--qs=2,4", "--p=2"],
+    ["count", "commuting", "--n", "2", "--qs", "2", "--strat", "both", "--exp"],
+    ["classes", "--n", "2", "--q", "3", "--inv"],
+    ["count", "lie", "--n", "3", "--qs", "2", "--n", "2", "--strategy", "brute",
+     "--strategy", "class"],
+    ["construct", "weyl", "--p", "3", "--alpha", "-1", "--beta=-2"],
+    ["construct", "splitpair", "--r", "1", "--a", "-1", "--b=-0.5"],
+    ["--seed", "3", "--max-classes", "100", "--max-brute", "1000", "--output", "out.json",
+     "dims", "lie", "--n", "4"],
+    ["--se=4", "--max-c", "7", "--max-b=9", "--o", "x", "--seed", "5", "dims", "group", "--n", "4"],
+    ["count", "--n", "2", "lie", "--qs", "2"],
+    ["dims", "--n", "4", "--d", "4", "group"],
+    ["verify", "--suite=all", "--q", "4"],
+    ["construct", "group", "--bl", "1,0;0,1", "--block", "2,0;0,1", "--q", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples() + _bench_ops() + _VALID_ARGV, ids=" ".join)
+def test_parser_matches_argparse_reference(argv):
+    want = _argparse_reference.build_parser().parse_args(argv)
+    assert vars(cli._parse_args(argv)) == vars(want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "lie", "--n", "2", "--qs", "2", "--foo"],
+        ["count", "lie", "--qs", "2"],
+        ["count", "lie", "--n", "2", "--qs", "2", "--strategy", "fast"],
+        ["count", "lie", "--n", "x", "--qs", "2"],
+        ["count", "lie", "--qs", "2", "--n"],
+        [],
+        ["--seed", "1"],
+        ["--m", "5", "dims", "lie", "--n", "4"],
+        ["dims", "lie", "--n", "4", "--max=5"],
+        ["dims", "lie", "--n", "4", "--seed", "1"],
+        ["count"],
+        ["frob"],
+        ["count", "tori", "--n", "2", "--qs", "2"],
+        ["dims", "lie", "group", "--n", "4"],
+        ["count", "lie", "--n", "2", "--qs", "2", "--expect=1"],
+        ["dims", "lie", "--help=x"],
+        ["construct", "weyl", "--alpha", "--beta", "1"],
+        ["construct", "weyl", "--alpha", "-x"],
+        ["--seed", "count", "lie"],
+        ["verify", "--suite", "paper"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_parser_rejects_as_argparse_reference(argv, capsys):
+    errors = []
+    for parse in (_argparse_reference.build_parser().parse_args, cli._parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        errors.append(err.splitlines()[-1])
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._COMMANDS],
+                         ids=lambda argv: " ".join(argv) or "top level")
+def test_help_shows_the_table(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    entry = cli._COMMANDS[argv[0]] if argv else cli._TOP
+    words = [entry[1]] + [text for opt in entry[3] for text in (opt[0], opt[3])]
+    if not argv:
+        words += [text for name, cmd in cli._COMMANDS.items() for text in (name, cmd[1])]
+    assert out.startswith("usage: commvar")
+    assert [word for word in words if word not in out] == []
