@@ -28,13 +28,18 @@ that the four counters reach through one dispatch (_count):
   Macdonald's series for the class number of GL_{n/d}, d = ord zeta, and
   for W a o-product over the twist-orbit kinds; both for q = 1 (mod d).
 
-Class enumeration (enumerate_classes, ClassRep.twisted) lists the conjugacy
-classes one by one; the counters do not use it, and the tests compare the
-polynomials against it.  A class's centralizer order, class size and
-centralizer dimension depend only on its type, the (deg f, partition) of its
-primary data, and are computed once per type (_type_numbers).  The CLI's
-`classes` report builds on that and encodes each (irreducible, partition)
-pair once; its bytes stay exactly those of json.dumps(doc, indent=2).
+Class enumeration lists the conjugacy classes one by one in one walk
+(_class_walk), which yields each class's primary data with its type, the
+(deg f, partition) of that data; the counters do not use it, and the tests
+compare the polynomials against it.  enumerate_classes wraps the walk's data
+in ClassRep (with ClassRep.twisted); the CLI's `classes` report reads the
+walk directly.  A class's centralizer order, class size and centralizer
+dimension depend only on its type and are computed once per type
+(_type_numbers), and the report fills its entry's closing once per type.
+Before anything is walked, the exact class count, the x^n coefficient of
+prod_d P(x^d)^N_d (_class_count), is checked against limits.max_classes.
+The report is written in pieces (head, blocks of entries, tail); its bytes
+stay exactly those of json.dumps(doc, indent=2).
 
 Counts are unbounded integers end to end; dimension fitting uses Decimal
 logarithms at 50 significant digits in a private context, so the caller's
@@ -236,21 +241,60 @@ class ClassRep:
         return ClassRep(self.spec, self.n, data)
 
 
-def enumerate_classes(
+def _class_count(n: int, q: int, restrict_invertible: bool = False, cap=math.inf) -> int:
+    """Number of conjugacy classes of M_n(F_q), or of GL_n(F_q).
+
+    It is the x^n coefficient c_n of prod_d P(x^d)^N_d, with P the partition
+    series and N_d = (1/d) sum_{e | d} mu(d/e) q^e the number of monic
+    irreducibles of degree d (less t for GL).  That product is
+    prod_m (1 - x^m)^(-a_m), a_m = sum_{d | m} N_d, so
+    m c_m = sum_{k=1..m} b_k c_(m-k) with b_k = sum_{e | k} e a_e.  Adding a
+    part 1 to the partition at t (at t - 1 for GL) maps classes of size m
+    into size m + 1 injectively, so c_m never decreases: the first c_m above
+    cap is returned as it stands, a lower bound of c_n.
+    """
+    counts, necklaces, a, b = [1], [0], [0], [0]
+    for m in range(1, n + 1):
+        divisors = [e for e in range(1, m + 1) if m % e == 0]
+        necklaces.append(sum(polyring._moebius(m // e) * q**e for e in divisors) // m)
+        if m == 1 and restrict_invertible:
+            necklaces[1] -= 1
+        a.append(sum(necklaces[e] for e in divisors))
+        b.append(sum(e * a[e] for e in divisors))
+        c, rem = divmod(sum(b[k] * counts[m - k] for k in range(1, m + 1)), m)
+        if rem:
+            raise MathCheckFailed("class count recurrence at m=%d is not integral" % m)
+        counts.append(c)
+        if c > cap:
+            break
+    return counts[-1]
+
+
+def _class_walk(
     n: int,
     spec: FieldSpec,
     restrict_invertible: bool = False,
     limits: CensusLimits = DEFAULT_LIMITS,
-) -> list[ClassRep]:
-    """All conjugacy classes of M_n(F_q) (or GL_n(F_q)), deterministic order.
+):
+    """Every conjugacy class of M_n(F_q) (or GL_n(F_q)) as (data, type).
 
     Classes are multisets of (irreducible, partition) with total degree n;
     restrict_invertible excludes the irreducible t.  The walk picks the
     irreducibles of each class in canonical (degree, coeffs) order, so each
-    class's data comes out sorted.
+    class's data comes out sorted, and builds its type, the tuple of
+    (deg f, partition), alongside.  The class count (_class_count) is
+    checked against limits before anything is walked and against the walk
+    when it ends; irreducibles are enumerated per degree as the walk first
+    reaches it.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    count = _class_count(n, spec.q, restrict_invertible, limits.max_classes)
+    if count > limits.max_classes:
+        raise LimitExceeded(
+            "class enumeration at n=%d q=%d exceeds limit %d"
+            % (n, spec.q, limits.max_classes)
+        )
     irr_cache: dict[int, list[Poly]] = {}
 
     def irr(d: int) -> list[Poly]:
@@ -263,27 +307,41 @@ def enumerate_classes(
         return irr_cache[d]
 
     def gen(d: int, i: int, budget: int):
-        if budget == 0:
-            yield ()
-            return
         for dd in range(d, budget + 1):
             lst = irr(dd)
-            start = i if dd == d else 0
-            for j in range(start, len(lst)):
+            for j in range(i if dd == d else 0, len(lst)):
+                f = lst[j]
                 for w in range(1, budget // dd + 1):
+                    left = budget - w * dd
                     for lam in partitions(w):
-                        for rest in gen(dd, j + 1, budget - w * dd):
-                            yield ((lst[j], lam),) + rest
+                        pair, kind = ((f, lam),), ((dd, lam),)
+                        if not left:
+                            yield pair, kind
+                            continue
+                        for data, ctype in gen(dd, j + 1, left):
+                            yield pair + data, kind + ctype
 
-    out = []
-    for data in gen(1, 0, n):
-        out.append(ClassRep(spec, n, data))
-        if len(out) > limits.max_classes:
-            raise LimitExceeded(
-                "class enumeration at n=%d q=%d exceeds limit %d"
-                % (n, spec.q, limits.max_classes)
+    def walk():
+        walked = 0
+        for item in gen(1, 0, n):
+            walked += 1
+            yield item
+        if walked != count:
+            raise MathCheckFailed(
+                "walked %d classes at n=%d q=%d, the count is %d" % (walked, n, spec.q, count)
             )
-    return out
+
+    return walk()
+
+
+def enumerate_classes(
+    n: int,
+    spec: FieldSpec,
+    restrict_invertible: bool = False,
+    limits: CensusLimits = DEFAULT_LIMITS,
+) -> list[ClassRep]:
+    """All conjugacy classes of M_n(F_q) (or GL_n(F_q)), in the walk's order."""
+    return [ClassRep(spec, n, data) for data, _ in _class_walk(n, spec, restrict_invertible, limits)]
 
 
 def centralizer_group_order(rep: ClassRep, q: int | None = None) -> int:

@@ -53,14 +53,16 @@ def _limits(args) -> census.CensusLimits:
 
 
 def _emit(doc: dict, args) -> None:
-    _emit_text(json.dumps(doc, indent=2) + "\n", args)
+    _emit_text([json.dumps(doc, indent=2) + "\n"], args)
 
 
-def _emit_text(text: str, args) -> None:
-    sys.stdout.write(text)
+def _emit_text(pieces, args) -> None:
+    """Write the document's pieces in order to stdout and to --output."""
+    for piece in pieces:
+        sys.stdout.write(piece)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _say(msg: str) -> None:
@@ -542,65 +544,75 @@ def _expected_dimension(variety, n, d, p_char) -> int | None:
 # -- classes and dims ---------------------------------------------------------------
 
 # One entry of the "classes" list as json.dumps(doc, indent=2) lays it out
-# at depth 2; its "data" items are (irreducible, partition) pairs at depth 4,
-# each part of the partition on its own line at depth 6.
-_CLASS_ENTRY = (
-    '    {\n      "data": [\n%s\n      ],\n'
+# at depth 2: its "data" items are (irreducible, partition) pairs at depth 4,
+# each part of the partition on its own line at depth 6, and its closing
+# holds the numbers of its type.
+_ENTRY_OPEN = '    {\n      "data": [\n'
+_ENTRY_CLOSE = (
+    '\n      ],\n'
     '      "class_size": "%d",\n'
     '      "centralizer_order": "%d",\n'
     '      "centralizer_dimension": %d\n    }'
 )
 _PAIR = '        [\n          %s,\n          [\n%s\n          ]\n        ]'
 _PART = "            %d"
+_BLOCK = 1024  # class entries per piece of the written report
 
 
-def _classes_text(classes) -> str:
-    """json.dumps(list, indent=2) of the class entries, placed at depth 1.
+def _cmd_classes(args) -> int:
+    """The classes report, its bytes those of json.dumps(doc, indent=2).
 
-    The text is filled into fixed templates: each distinct (irreducible,
-    partition) pair once, from json.dumps of the irreducible's name and one
-    line per part, then each class entry from its pairs and numbers.
+    The entries are filled into fixed templates from one class walk: each
+    distinct (irreducible, partition) pair is rendered once, each type's
+    closing (with its class size, centralizer order and dimension) once,
+    and the entries are joined in blocks that are written one by one.
     """
-    pairs = {}
-    entries = []
-    for c in classes:
-        data = []
-        for f, lam in c.data:
+    spec = _field_from_q(args.q)
+    n, q = args.n, spec.q
+    pairs, closings, per_type = {}, {}, Counter()
+    blocks, entries = [], []
+    for data, ctype in census._class_walk(n, spec, args.invertible, _limits(args)):
+        texts = []
+        for f, lam in data:
             key = (f.coeffs, lam)
             text = pairs.get(key)
             if text is None:
                 parts = ",\n".join([_PART % part for part in lam])
                 text = pairs[key] = _PAIR % (json.dumps(f.pretty()), parts)
-            data.append(text)
-        entries.append(_CLASS_ENTRY % (
-            ",\n".join(data), c.class_size, c.centralizer_order, c.dim_centralizer()
-        ))
-    return "[\n" + ",\n".join(entries) + "\n  ]"
-
-
-def _cmd_classes(args) -> int:
-    limits = _limits(args)
-    spec = _field_from_q(args.q)
-    classes = census.enumerate_classes(args.n, spec, args.invertible, limits)
-    total = str(sum(c.class_size for c in classes))
-    expected = str(
-        census.gl_order(args.n, spec.q) if args.invertible else spec.q ** (args.n**2)
-    )
+            texts.append(text)
+        closing = closings.get(ctype)
+        if closing is None:
+            order, size, dim = census._type_numbers(ctype, n, q)
+            closing = closings[ctype] = _ENTRY_CLOSE % (size, order, dim)
+        per_type[ctype] += 1
+        entries.append(_ENTRY_OPEN + ",\n".join(texts) + closing)
+        if len(entries) == _BLOCK:
+            blocks.append(",\n".join(entries))
+            entries = []
+    if entries:
+        blocks.append(",\n".join(entries))
+    count = sum(per_type.values())
+    total = str(sum(census._type_numbers(t, n, q)[1] * k for t, k in per_type.items()))
+    expected = str(census.gl_order(n, q) if args.invertible else q ** (n * n))
     ok = total == expected
     doc = {
         "command": "classes",
-        "n": args.n,
-        "q": spec.q,
+        "n": n,
+        "q": q,
         "invertible_only": args.invertible,
-        "count": len(classes),
+        "count": count,
         "total_class_size": total,
         "expected_total": expected,
         "classes": [],
         "ok": ok,
     }
     head, tail = json.dumps(doc, indent=2).split('"classes": []')
-    _emit_text(head + '"classes": ' + _classes_text(classes) + tail + "\n", args)
-    _say("classes n=%d q=%d: %d classes, completeness %s" % (args.n, spec.q, len(classes), ok))
+    pieces = [head + '"classes": [\n']
+    for block in blocks:
+        pieces += [block, ",\n"]
+    pieces[-1] = "\n  ]" + tail + "\n"
+    _emit_text(pieces, args)
+    _say("classes n=%d q=%d: %d classes, completeness %s" % (n, q, count, ok))
     return 0 if ok else 1
 
 

@@ -17,6 +17,7 @@ import _type_sum as ts
 from commvar import census as cs
 from commvar import cli, gf, matgf as mg, typea_group as tg
 from commvar.errors import LimitExceeded, MathCheckFailed
+from commvar.polyring import Poly
 
 F2 = gf.field(2)
 F3 = gf.field(3)
@@ -92,6 +93,42 @@ def test_class_enumeration_deterministic_and_limited():
     assert [c.data for c in a] == [c.data for c in b]
     with pytest.raises(LimitExceeded):
         cs.enumerate_classes(2, F3, limits=cs.CensusLimits(max_classes=3))
+
+
+# [c.data for c in enumerate_classes(2, F2)] as (coeffs, partition) pairs
+CLASSES_2_F2 = [
+    (((0, 1), (1,)), ((1, 1), (1,))),
+    (((0, 1), (2,)),),
+    (((0, 1), (1, 1)),),
+    (((1, 1), (2,)),),
+    (((1, 1), (1, 1)),),
+    (((1, 1, 1), (1,)),),
+]
+
+
+def test_class_walk_yields_each_class_with_its_type():
+    expected = [tuple((Poly(F2, c), lam) for c, lam in data) for data in CLASSES_2_F2]
+    assert [c.data for c in cs.enumerate_classes(2, F2)] == expected
+    assert cs._class_count(4, 8) == 4744  # classes --n 4 --q 8
+    for spec, n in [(F2, 4), (F3, 3), (F4, 3)]:
+        for invertible in (False, True):
+            for data, ctype in cs._class_walk(n, spec, invertible):
+                assert ctype == tuple((f.degree, lam) for f, lam in data)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_class_count_equals_the_walk(q):
+    spec = cli._field_from_q(q)
+    for n in range(1, 5):
+        for invertible in (False, True):
+            walked = len(cs.enumerate_classes(n, spec, invertible))
+            assert cs._class_count(n, q, invertible) == walked
+
+
+def test_class_walk_checks_its_count(monkeypatch):
+    monkeypatch.setattr(cs, "_class_count", lambda n, q, invertible, cap: 7)
+    with pytest.raises(MathCheckFailed, match="walked 6 classes"):
+        cs.enumerate_classes(2, F2)
 
 
 def test_centralizer_order_examples_and_brute():

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import _argparse_reference
 import pytest
 
-from commvar import census, cli, gf, matgf, typea_group
+from commvar import census, cli, gf, matgf, polyring, typea_group
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -443,6 +444,57 @@ def test_classes_output_file_and_limit(capsys, tmp_path):
     assert path.read_text() == out
     code, out, err = run(capsys, ["--max-classes", "3", "classes", "--n", "2", "--q", "3"])
     assert code == 2 and out == "" and "exceeds limit 3" in err
+
+
+# sha256 of stdout as commvar wrote it before the report was written in pieces
+CLASSES_SHA256 = {
+    ("4", "8"): "5b36401497d28b421e8b59c4f62b22b42a651d1fe04bdfed8a954a03c5a4b411",
+    ("3", "9", "--invertible"): "98c2edf2dde5fd5757c5f78e706b98540d07de7d3d0a57f14c5e016829e044c7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSES_SHA256))
+def test_classes_report_bytes_are_pinned(capsys, case):
+    code, out, _ = run(capsys, ["classes", "--n", case[0], "--q", case[1], *case[2:]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSES_SHA256[case]
+
+
+def test_classes_output_file_in_pieces(capsys, tmp_path):
+    # 4,744 entries: more than one block of cli._BLOCK
+    assert 4744 > cli._BLOCK
+    path = tmp_path / "classes.json"
+    code, out, _ = run(capsys, ["--output", str(path), "classes", "--n", "4", "--q", "8"])
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == CLASSES_SHA256[("4", "8")] and path.read_text() == out
+
+
+@pytest.mark.parametrize("block", [1, 4, 5, 12, 13])
+def test_classes_report_at_every_block_size(capsys, monkeypatch, block):
+    # 12 classes: blocks that divide the count, and ones that do not
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    code, out, _ = run(capsys, ["classes", "--n", "2", "--q", "3"])
+    assert code == 0
+    assert out == json.dumps(_classes_doc_reference(2, 3, False), indent=2) + "\n"
+
+
+def test_classes_limit_boundary_is_the_class_count(capsys):
+    code, out, _ = run(capsys, ["--max-classes", "4744", "classes", "--n", "4", "--q", "8"])
+    assert code == 0 and json.loads(out)["count"] == 4744
+    code, out, err = run(capsys, ["--max-classes", "4743", "classes", "--n", "4", "--q", "8"])
+    assert code == 2 and out == ""
+    assert err == "error: class enumeration at n=4 q=8 exceeds limit 4743\n"
+
+
+def test_classes_refused_from_the_count_before_walking(capsys, monkeypatch):
+    def no_walk(spec, d):
+        raise AssertionError("irreducibles of degree %d enumerated" % d)
+
+    monkeypatch.setattr(polyring, "irreducibles_of_degree", no_walk)
+    code, out, err = run(capsys, ["classes", "--n", "30", "--q", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: class enumeration at n=30 q=2 exceeds limit 200000\n"
 
 
 def test_src_raises_no_bare_assertion_error():
