@@ -53,12 +53,11 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import polyring
-from .errors import LimitExceeded, MathCheckFailed
+from .errors import Fresh, LimitExceeded, MathCheckFailed, Record
 from .gf import Fe, FieldSpec, _is_prime, _prime_divisors
 from .matgf import (
     Mat,
@@ -74,8 +73,7 @@ from .polyring import Poly
 # every Decimal operation of the fit runs in this context, never the thread's
 _DEC = Context(prec=50)
 
-@dataclass(frozen=True)
-class CensusLimits:
+class CensusLimits(Record):
     """Explicit feasibility limits for enumerations and scans."""
 
     max_classes: int = 200_000
@@ -186,8 +184,7 @@ def twist_poly(f: Poly, zeta: Fe) -> Poly:
     return Poly(spec, scaled)
 
 
-@dataclass(frozen=True)
-class ClassRep:
+class ClassRep(Record):
     """A conjugacy class of M_n(F_q) given by its primary data.
 
     data is a canonically sorted tuple of (monic irreducible, partition)
@@ -1181,8 +1178,7 @@ def count_w(
 
 # -- dimension estimation --------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionFit:
+class DimensionFit(Record):
     fitted: int
     raw: Decimal
     residual: Decimal
@@ -1217,8 +1213,7 @@ def estimate_dimension(points) -> DimensionFit:
     return DimensionFit(fitted, raw, residual)
 
 
-@dataclass
-class CountReport:
+class CountReport(Record, frozen=False):
     """Per-q counts for one variety, the fitted growth exponent (a
     diagnostic), and the exact point-count polynomial, whose degree is the
     dimension that `match` compares with the expected one."""
@@ -1229,7 +1224,7 @@ class CountReport:
     counts: list  # of (q, count, strategy)
     fit: DimensionFit | None
     expected_dimension: int | None
-    extra: dict = dc_field(default_factory=dict)
+    extra: dict = Fresh(dict)
     point_count_polynomial: QPoly | None = None
 
     @property

@@ -61,13 +61,17 @@ class FieldSpec:
     specs with equal (p, k) are the same object with the same modulus.
     """
 
-    __slots__ = ("p", "k", "modulus", "q", "_add_t", "_sub_t", "_mul_t", "_inv_t", "_neg_t")
+    __slots__ = (
+        "p", "k", "modulus", "q", "_hash", "_add_t", "_sub_t", "_mul_t", "_inv_t", "_neg_t"
+    )
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         self.p = p
         self.k = k
         self.modulus = modulus
         self.q = p**k
+        # specs are immutable and key the lru_caches of every element text
+        self._hash = hash((p, k, modulus))
         self._add_t = None
         self._sub_t = None
         self._mul_t = None
@@ -267,7 +271,7 @@ class FieldSpec:
         )
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return self._hash
 
 
 class _ScalarRows:

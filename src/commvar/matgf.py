@@ -17,10 +17,9 @@ element text form, e.g. "0,0;1,0".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import polyring
-from .errors import LimitExceeded, MathCheckFailed
+from .errors import LimitExceeded, MathCheckFailed, Record
 from .gf import Fe, FieldSpec, embed, field
 from .polyring import (
     Poly,
@@ -346,8 +345,7 @@ def _rref_rows(spec: FieldSpec, rows):
     return rows, len(pivots), pivots
 
 
-@dataclass(frozen=True)
-class RrefResult:
+class RrefResult(Record):
     matrix: Mat
     rank: int
     pivots: tuple[int, ...]
@@ -440,8 +438,7 @@ def _unvec(spec: FieldSpec, v, n: int) -> Mat:
     return Mat(spec, [v[i * n : (i + 1) * n] for i in range(n)])
 
 
-@dataclass(frozen=True)
-class AffineMatSpace:
+class AffineMatSpace(Record):
     """An affine space of matrices: particular + span(basis)."""
 
     particular: Mat
@@ -492,8 +489,7 @@ def centralizer_dimension(a: Mat, *others: Mat) -> int:
 
 # -- Smith normal form over F_q[t], invariant factors, transports -------------
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(Record):
     """Nontrivial invariant factors d_1 | d_2 | ... | d_s of tI - A."""
 
     factors: tuple[Poly, ...]
@@ -718,8 +714,7 @@ def _primary_data(factors):
 
 # -- Jordan type over a splitting field ----------------------------------------
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(Record):
     """Eigenvalues in a stated splitting field with descending block sizes."""
 
     spec: FieldSpec  # splitting field

@@ -243,20 +243,20 @@ class Poly:
         if self.is_zero:
             return "0"
         spec = self.spec
+        one = spec.one_idx
         terms = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
             if c == 0:
                 continue
-            ctext = _fe_text(spec, c)
             if i == 0:
-                terms.append(ctext)
+                terms.append(_fe_text(spec, c))
             else:
                 power = var if i == 1 else "%s^%d" % (var, i)
-                if c == spec.one_idx:
+                if c == one:
                     terms.append(power)
                 else:
-                    terms.append("%s*%s" % (ctext, power))
+                    terms.append("%s*%s" % (_fe_text(spec, c), power))
         return "+".join(terms)
 
     def __str__(self):

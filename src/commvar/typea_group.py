@@ -13,10 +13,8 @@ of these operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import census
-from .errors import MathCheckFailed
+from .errors import MathCheckFailed, Record
 from .gf import Fe, FieldSpec, root_of_unity
 from .matgf import (
     Mat,
@@ -28,8 +26,7 @@ from .matgf import (
 )
 
 
-@dataclass(frozen=True)
-class ZetaInstance:
+class ZetaInstance(Record):
     """Size n, order d | n, and a root of unity zeta of order exactly d."""
 
     spec: FieldSpec
@@ -74,8 +71,7 @@ def build_rho(spec: FieldSpec, n: int, d: int) -> Mat:
     return Mat(spec, rows)
 
 
-@dataclass(frozen=True)
-class CentralCommutatorRecord:
+class CentralCommutatorRecord(Record):
     d_matrix: Mat
     rho: Mat
     commutator: Mat
@@ -106,8 +102,7 @@ def is_conjugate_to_zeta_x(x: Mat, zeta) -> bool:
     return all(census.twist_poly(f, zeta) == f for f in invariant_factors(x))
 
 
-@dataclass(frozen=True)
-class SolutionCoset:
+class SolutionCoset(Record):
     """The solutions of [x, y] = zeta I: the coset C_GL(x) . witness."""
 
     x: Mat
@@ -158,8 +153,7 @@ def solution_set_for_x(x: Mat, zeta):
     return coset
 
 
-@dataclass(frozen=True)
-class GroupDims:
+class GroupDims(Record):
     n: int
     d: int
     dim_pairs: int  # pairs (x, y) with [x, y] = zeta I

@@ -13,9 +13,8 @@ is -I when p is odd; the two conventions differ by (A, B) -> (A, -B)).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .errors import MathCheckFailed
+from .errors import MathCheckFailed, Record
 from .gf import Fe, FieldSpec, _is_prime
 from .matgf import (
     AffineMatSpace,
@@ -33,8 +32,7 @@ from .matgf import (
 from .polyring import Poly
 
 
-@dataclass(frozen=True)
-class WeylPair:
+class WeylPair(Record):
     """A p x p pair with [A, B] = I, A^p and B^p scalar."""
 
     p: int
@@ -101,8 +99,7 @@ def nilpotent_generators(spec: FieldSpec) -> tuple[Mat, Mat]:
     return pair.a, pair.b
 
 
-@dataclass(frozen=True)
-class BlockPair:
+class BlockPair(Record):
     """The n = p*r block pair: [X, Y] = I with X regular."""
 
     p: int
@@ -145,8 +142,7 @@ def build_block_pair(spec: FieldSpec, r: int, scalars=None) -> BlockPair:
     return BlockPair(p, r, scalars, x, y)
 
 
-@dataclass(frozen=True)
-class KernelActionRecord:
+class KernelActionRecord(Record):
     """Outcome of the nilpotent two-block kernel computation."""
 
     p: int
@@ -199,8 +195,7 @@ def kernel_action_check(pair: BlockPair) -> KernelActionRecord:
     )
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(Record):
     """All solutions of [X, Y'] = I as {Y + f(X) : deg f <= n - 1}."""
 
     x: Mat
@@ -292,8 +287,7 @@ def generic_split_pair(spec: FieldSpec, a_scalars, b_scalars) -> tuple[Mat, Mat]
     return a, b
 
 
-@dataclass(frozen=True)
-class ComponentDims:
+class ComponentDims(Record):
     """Closed-form dimensions of the commutator varieties at n = p*r."""
 
     p: int

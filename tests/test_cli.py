@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -213,10 +212,9 @@ def test_count_group_expect_mismatch_is_exit_1(capsys, monkeypatch):
     assert doc["point_count_polynomial"] == "q^5-2*q^4+2*q^2-q"
     assert doc["d"] == 2 and doc["zeta"]["3"] == "2"
 
-    group_dims = typea_group.group_dims
     monkeypatch.setattr(
         typea_group, "group_dims",
-        lambda n, d: dataclasses.replace(group_dims(n, d), dim_pairs=n * n + n),
+        lambda n, d: typea_group.GroupDims(n, d, n * n + n, n * n + n // d - n),
     )
     code, out, err = run(capsys, argv)
     assert code == 1
@@ -336,10 +334,11 @@ def test_count_expect_reads_the_exact_degree(capsys, argv, fitted):
 
 
 def test_cli_import_leaves_numpy_out():
-    # neither importing the CLI nor a run imports numpy, or an argument parser
+    # neither importing the CLI nor a run imports numpy, an argument parser,
+    # or the dataclasses machinery
     code = (
         "import sys, commvar.cli\n"
-        "names = ('numpy', 'argparse', 'gettext')\n"
+        "names = ('numpy', 'argparse', 'gettext', 'dataclasses', 'inspect')\n"
         "print([m for m in names if m in sys.modules])\n"
         "commvar.cli.main(['count', 'commuting', '--n', '2', '--qs', '2'])\n"
         "print([m for m in names if m in sys.modules])\n"
