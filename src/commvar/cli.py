@@ -57,12 +57,14 @@ def _emit(doc: dict, args) -> None:
 
 
 def _emit_text(pieces, args) -> None:
-    """Write the document's pieces in order to stdout and to --output."""
-    for piece in pieces:
-        sys.stdout.write(piece)
+    """Write the document's pieces in order to --output, then to stdout, so
+    that a path that cannot be written leaves stdout empty."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.writelines(pieces)
+    # write() only: a wrapper around stdout may guard write but not writelines
+    for piece in pieces:
+        sys.stdout.write(piece)
 
 
 def _say(msg: str) -> None:
@@ -325,7 +327,7 @@ def _suite_group(args, limits) -> list[dict]:
     return checks
 
 
-_LIE_TRACE_PAIRS = 1 << 20  # the lie-trace suite runs the brute Lie count up to this many pairs
+_LIE_TRACE_PAIRS = 1 << 20  # the suite's own cap on the pairs of its brute Lie count
 
 
 def _suite_lie_trace(args, limits) -> list[dict]:
@@ -345,7 +347,8 @@ def _suite_lie_trace(args, limits) -> list[dict]:
     except LimitExceeded as exc:
         return [_check("trace_obstruction", "skipped", reason=str(exc))]
     details = {"n": args.n, "p": spec.p, "q": spec.q, "count": str(count)}
-    if spec.q ** (2 * args.n**2) <= min(_LIE_TRACE_PAIRS, limits.max_brute):
+    matrices = spec.q ** (args.n**2)  # the unit of --max-brute
+    if matrices * matrices <= _LIE_TRACE_PAIRS and matrices <= limits.max_brute:
         brute = census.count_lie_pairs(args.n, spec, 1, "brute", limits)
         details["brute_count"] = str(brute)
         ok = count == 0 and brute == 0
@@ -809,7 +812,7 @@ def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except (LimitExceeded, ValueError) as exc:
+    except (LimitExceeded, ValueError, OSError) as exc:
         _say("error: %s" % exc)
         return 2
     except AssertionError as exc:

@@ -28,19 +28,11 @@ _TABLE_MAX_Q = 256  # build full lookup tables only for small fields
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and _prime_divisors(n) == [n]
 
 
 def _prime_divisors(n: int):
+    """The distinct primes dividing n, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -52,6 +44,19 @@ def _prime_divisors(n: int):
     if n > 1:
         out.append(n)
     return out
+
+
+def _power(x, e: int, mul, one):
+    """x^e by square-and-multiply with the product mul, for e >= 0."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        e >>= 1
+    return result
 
 
 class FieldSpec:
@@ -165,13 +170,7 @@ class FieldSpec:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        result = self.one_idx
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return _power(a, e, self.mul, self.one_idx)
 
     def frob(self, a: int) -> int:
         return self.pow(a, self.p)

@@ -20,7 +20,7 @@ import math
 
 from . import polyring
 from .errors import LimitExceeded, MathCheckFailed, Record
-from .gf import Fe, FieldSpec, embed, field
+from .gf import Fe, FieldSpec, _power, embed, field
 from .polyring import (
     Poly,
     padd,
@@ -110,31 +110,21 @@ class Mat:
         if other.spec != self.spec:
             raise ValueError("mismatched fields")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, other: "Mat", op: int) -> "Mat":
+        """self and other combined entry by entry with spec._tables()[op]."""
         self._check(other)
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise ValueError("shape mismatch")
-        add = self.spec._tables()[0]
+        t = self.spec._tables()[op]
         return Mat(
-            self.spec,
-            [
-                [add[a][b] for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            self.spec, [[t[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, 0)
+
     def __sub__(self, other: "Mat") -> "Mat":
-        self._check(other)
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("shape mismatch")
-        sub = self.spec._tables()[1]
-        return Mat(
-            self.spec,
-            [
-                [sub[a][b] for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, 1)
 
     def __neg__(self) -> "Mat":
         neg = self.spec.neg
@@ -159,14 +149,7 @@ class Mat:
             raise ValueError("power of a non-square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.spec, self.n_rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return _power(self, e, Mat.__matmul__, Mat.identity(self.spec, self.n_rows))
 
     def apply(self, v) -> tuple[int, ...]:
         """Matrix-vector product on a packed index vector."""
@@ -500,12 +483,6 @@ class InvariantFactors(Record):
 
     def __iter__(self):
         return iter(self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, InvariantFactors) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
 
 def _char_matrix(a: Mat):

@@ -1,9 +1,10 @@
 """Univariate polynomial algebra over a field instance.
 
 Polynomials are dense coefficient tuples (packed element indices, constant
-term first, no trailing zeros).  Provides exact arithmetic, gcd,
-irreducibility testing (distinct-degree sieve), full factorization
-(squarefree split + distinct-degree + equal-degree splitting), and
+term first, no trailing zeros).  Provides exact arithmetic, gcd, full
+factorization (squarefree split + distinct-degree + equal-degree
+splitting), an irreducibility test that is the same distinct-degree split
+finding no factor of degree <= d/2, and
 enumeration of the monic irreducibles of a given degree by an affine sieve
 that strikes out the multiples of each lower-degree irreducible.
 
@@ -17,7 +18,7 @@ import itertools
 import random
 
 from .errors import LimitExceeded
-from .gf import Fe, FieldSpec, _fe_text, _prime_divisors
+from .gf import Fe, FieldSpec, _fe_text, _power, _prime_divisors
 
 DEFAULT_ENUM_LIMIT = 1 << 22
 
@@ -94,14 +95,10 @@ def pgcd(spec: FieldSpec, f, g):
 
 
 def ppowmod(spec: FieldSpec, f, e: int, m):
-    result = (spec.one_idx,)
-    base = pdivmod(spec, f, m)[1]
-    while e:
-        if e & 1:
-            result = pdivmod(spec, pmul(spec, result, base), m)[1]
-        base = pdivmod(spec, pmul(spec, base, base), m)[1]
-        e >>= 1
-    return result
+    def mulmod(g, h):
+        return pdivmod(spec, pmul(spec, g, h), m)[1]
+
+    return _power(pdivmod(spec, f, m)[1], e, mulmod, (spec.one_idx,))
 
 
 def peval(spec: FieldSpec, f, x: int) -> int:
@@ -206,14 +203,7 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "Poly":
-        result = Poly.one(self.spec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Poly.__mul__, Poly.one(self.spec))
 
     def __call__(self, x: Fe) -> Fe:
         if x.spec != self.spec:
@@ -290,32 +280,13 @@ def gcd(f: Poly, g: Poly) -> Poly:
     return Poly(f.spec, pgcd(f.spec, f.coeffs, g.coeffs))
 
 
-def _pow_q_mod(spec: FieldSpec, f, m, times: int):
-    """f^(q^times) mod m."""
-    for _ in range(times):
-        f = ppowmod(spec, f, spec.q, m)
-    return f
-
-
 def is_irreducible(f: Poly) -> bool:
-    """True iff f is irreducible over its field (degree >= 1 required)."""
-    d = f.degree
-    if d < 1:
+    """True iff f is irreducible over its field (degree >= 1 required): the
+    distinct-degree split finds no factor of degree <= deg f / 2."""
+    if f.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
-    spec = f.spec
-    m = pmonic(spec, f.coeffs)
-    if d == 1:
-        return True
-    t = (0, spec.one_idx)
-    h = _pow_q_mod(spec, t, m, d)
-    if h != t:
-        return False
-    for ell in _prime_divisors(d):
-        h = _pow_q_mod(spec, t, m, d // ell)
-        g = pgcd(spec, psub(spec, h, t), m)
-        if len(g) != 1:
-            return False
-    return True
+    m = pmonic(f.spec, f.coeffs)
+    return _ddf(f.spec, m) == [(m, f.degree)]
 
 
 def _mix_seed(coeffs) -> int:
@@ -329,14 +300,8 @@ def _mix_seed(coeffs) -> int:
 def _pth_root(spec: FieldSpec, f):
     """The p-th root of f(t) = g(t)^p (valid when f' = 0)."""
     p, k = spec.p, spec.k
-    out = []
-    for i in range(0, len(f), p):
-        c = f[i]
-        # inverse Frobenius: c^(p^(k-1))
-        for _ in range(k - 1):
-            c = spec.frob(c)
-        out.append(c)
-    return pnormalize(out)
+    # inverse Frobenius on each coefficient: c^(p^(k-1))
+    return pnormalize([spec.pow(f[i], p ** (k - 1)) for i in range(0, len(f), p)])
 
 
 def _ddf(spec: FieldSpec, f):
@@ -434,18 +399,10 @@ def roots(f: Poly) -> list[Fe]:
 
 
 def _moebius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    primes = _prime_divisors(n)
+    if any(n % (ell * ell) == 0 for ell in primes):
+        return 0
+    return (-1) ** len(primes)
 
 
 def irreducibles_of_degree(spec: FieldSpec, d: int):

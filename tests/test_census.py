@@ -38,6 +38,22 @@ def test_partitions():
     assert cs.conjugate_partition((2, 2)) == (2, 2)
 
 
+@pytest.mark.parametrize("spec", [F2, F3])
+def test_centralizer_group_order(spec):
+    q = spec.q
+    for n in (1, 2, 3):
+        for rep in cs.enumerate_classes(n, spec):
+            order = cs.centralizer_group_order(rep)
+            assert order == cs.centralizer_group_order(rep, q) == rep.centralizer_order
+            assert order * rep.class_size == cs.gl_order(n, q)  # orbit-stabilizer
+            if q ** (n * n) <= 512:
+                a = rep.representative
+                brute = sum(1 for x in all_mats(spec, n) if x @ a == a @ x and x.is_invertible())
+                assert order == brute, rep
+        with pytest.raises(ValueError):
+            cs.centralizer_group_order(rep, q + 1)
+
+
 def test_gl_order():
     assert cs.gl_order(1, 2) == 1
     assert cs.gl_order(2, 2) == 6

@@ -469,6 +469,24 @@ def test_classes_output_file_in_pieces(capsys, tmp_path):
     assert digest == CLASSES_SHA256[("4", "8")] and path.read_text() == out
 
 
+def test_classes_report_reaches_a_write_only_stdout(monkeypatch):
+    # the report goes out through stdout.write alone, so a wrapper that
+    # guards only write (as bench/child.py's does) sees every piece
+    class WriteOnly:
+        def __init__(self):
+            self.pieces = []
+
+        def write(self, text):
+            self.pieces.append(text)
+
+    stdout = WriteOnly()
+    monkeypatch.setattr(cli, "_BLOCK", 5)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["classes", "--n", "2", "--q", "3"]) == 0
+    assert len(stdout.pieces) > 2
+    assert "".join(stdout.pieces) == json.dumps(_classes_doc_reference(2, 3, False), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("block", [1, 4, 5, 12, 13])
 def test_classes_report_at_every_block_size(capsys, monkeypatch, block):
     # 12 classes: blocks that divide the count, and ones that do not
@@ -661,6 +679,27 @@ def test_output_file(capsys, tmp_path):
     code, out, _ = run(capsys, ["--output", str(path), "dims", "lie", "--p", "2", "--n", "4"])
     assert code == 0
     assert path.read_text() == out
+
+
+def test_unwritable_output_is_a_configuration_error(capsys, tmp_path):
+    # the file is opened before stdout is written: nothing on stdout, exit 2
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, ["--output", str(path), "dims", "lie", "--n", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("max_brute,ran", [(512, True), (511, False)])
+def test_lie_trace_brute_gate_counts_matrices(capsys, max_brute, ran):
+    # --max-brute counts matrices, q^(n^2) = 512 here, as the brute counter does
+    argv = ["--max-brute", str(max_brute), "verify", "--suite", "lie-trace", "--n", "3", "--p", "2"]
+    code, doc = run_json(capsys, argv)
+    check = doc["checks"][0]
+    assert code == 0 and check["status"] == "pass"
+    assert ("brute_count" in check) == ran
+    if ran:
+        assert check["brute_count"] == "0"
 
 
 def _readme_cli_examples() -> list[list[str]]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -58,6 +59,49 @@ def test_seed_moduli_pinned():
     assert gf.field(3, 6).modulus == (1, 0, 0, 0, 1, 1, 1)
     assert gf.field(5, 4).modulus == (1, 0, 1, 1, 1)
     assert gf.field(2, 16).modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+
+
+MODULUS_GRID = (
+    [(2, k) for k in range(1, 33)]
+    + [(3, k) for k in range(1, 13)]
+    + [(5, k) for k in range(1, 9)]
+    + [(7, k) for k in range(1, 7)]
+    + [(251, 2), (257, 2), (17, 3)]
+)
+# sha256 of repr([(p, k, modulus), ...]) over MODULUS_GRID, recorded while
+# field() still tested its candidates with Rabin's test; the distinct-degree
+# split must pick the same smallest irreducible for every field
+MODULUS_GRID_SHA256 = "8d52f47df957d1473a052831a28fe5f3e5c06ea9a731d7a1a293352687e7b742"
+
+
+def test_moduli_of_the_field_grid_pinned():
+    moduli = [(p, k, gf.field(p, k).modulus) for p, k in MODULUS_GRID]
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest() == MODULUS_GRID_SHA256
+
+
+def test_trial_division_matches_divisor_sieve():
+    # literal definitions below 5000: n is prime iff it has exactly two
+    # divisors; the prime divisors of n are its divisors with exactly two
+    limit = 5000
+    divisors = [[] for _ in range(limit)]
+    for d in range(1, limit):
+        for m in range(d, limit, d):
+            divisors[m].append(d)
+    for n in range(limit):
+        assert gf._is_prime(n) == (len(divisors[n]) == 2), n
+        if n:
+            assert gf._prime_divisors(n) == [d for d in divisors[n] if len(divisors[d]) == 2], n
+
+
+def test_pow_equals_repeated_multiplication():
+    for spec in (gf.field(5), gf.field(2, 3), gf.field(3, 2), gf.field(17, 2)):
+        for a in range(1, spec.q, max(1, spec.q // 7)):
+            for base, sign in ((a, 1), (spec.inv(a), -1)):
+                acc = spec.one_idx
+                for e in range(21):
+                    assert spec.pow(a, sign * e) == acc, (spec, a, sign * e)
+                    acc = spec.mul(acc, base)
+        assert spec.pow(0, 0) == spec.one_idx and spec.pow(0, 3) == 0
 
 
 def test_inverse_exhaustive_small_fields():

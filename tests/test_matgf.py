@@ -71,6 +71,23 @@ def test_mat_arith_examples():
         nil.inverse()
 
 
+def test_mat_pow_equals_repeated_products():
+    rng = random.Random(3)
+    for spec, n in ((F2, 3), (F3, 2), (F4, 3), (F5, 2)):
+        while True:
+            a = random_mat(spec, n, rng)
+            if a.is_invertible():
+                break
+        for base, sign in ((a, 1), (a.inverse(), -1)):
+            acc = mg.Mat.identity(spec, n)
+            for e in range(21):
+                assert a ** (sign * e) == acc, (spec, sign * e)
+                acc = acc @ base
+    nil = mg.Mat.from_rows(F3, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError):
+        nil ** -1
+
+
 def test_shape_and_field_mismatch():
     with pytest.raises(ValueError):
         mg.Mat.identity(F3, 2) + mg.Mat.identity(F3, 3)

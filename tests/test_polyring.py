@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import _type_sum as ts
 from commvar import gf
 from commvar import polyring as pr
 from commvar.errors import LimitExceeded
+from commvar.gf import Fe
 
 F2 = gf.field(2)
 F3 = gf.field(3)
@@ -60,6 +62,43 @@ def test_is_irreducible_examples():
     assert pr.is_irreducible(poly(F3, [1, 0, 1]))
     with pytest.raises(ValueError):
         pr.is_irreducible(pr.Poly.one(F2))
+
+
+@pytest.mark.parametrize("spec,top", [(F2, 8), (F3, 5), (F4, 4), (F5, 3)])
+def test_is_irreducible_equals_sieve_membership(spec, top):
+    # every monic polynomial, so squares and products of equal-degree
+    # factors, where the distinct-degree split finds one product, come up
+    for d in range(1, top + 1):
+        irreducible = {f.coeffs for f in pr.irreducibles_of_degree(spec, d)}
+        for low in itertools.product(range(spec.q), repeat=d):
+            f = pr.Poly(spec, low + (spec.one_idx,))
+            assert pr.is_irreducible(f) == (f.coeffs in irreducible), f
+            # a unit multiple: the test makes its input monic first
+            assert pr.is_irreducible(f * Fe(spec, spec.q - 1)) == (f.coeffs in irreducible), f
+
+
+def test_moebius_matches_its_defining_sum():
+    # mu(1) = 1 and sum_{d | n} mu(d) = 0 for n > 1, solved for mu(n)
+    limit = 5000
+    mu = [0, 1] + [0] * (limit - 2)
+    for d in range(1, limit):
+        for m in range(2 * d, limit, d):
+            mu[m] -= mu[d]
+    assert [pr._moebius(n) for n in range(1, limit)] == mu[1:]
+
+
+def test_powers_equal_repeated_products():
+    rng = random.Random(4)
+    for spec in (F2, F3, F4, F5):
+        f = pr.Poly(spec, tuple(rng.randrange(spec.q) for _ in range(3)) + (spec.one_idx,))
+        m = pr.Poly(spec, tuple(rng.randrange(spec.q) for _ in range(4)) + (spec.one_idx,))
+        acc = pr.Poly.one(spec)
+        for e in range(21):
+            assert f**e == acc, (spec, e)
+            assert pr.ppowmod(spec, f.coeffs, e, m.coeffs) == (acc % m).coeffs, (spec, e)
+            acc = acc * f
+    with pytest.raises(ValueError):
+        f**-1
 
 
 def test_factor_examples():
