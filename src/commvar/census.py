@@ -15,12 +15,13 @@ that the four counters reach through one dispatch (_count):
   lane's rank (_eliminate).  ad_{A + lam I} = ad_A, so for Lie and
   commuting pairs A runs through M_n(F_q) mod F_q I (orbits of size q),
   and eliminating ad_A solves ad_A(B) = cI exactly, over every field.  W
-  walks all q^(n^2) matrices: x ~ zeta x iff Y -> xY - zeta Yx has the
-  rank of ad_x (Byrnes-Gauger), and x is invertible iff rank x = n.  Group
-  pairs need x ~ zeta x, and y^-1 (mu x) y = zeta mu x iff y^-1 x y =
-  zeta x, so one member x of W per orbit of F_q^x (size q - 1) walks the
-  kernel of Y -> xY - Y(zeta x) (matgf.kernel_basis), counting the y of
-  rank n;
+  walks all q^(n^2) matrices at zeta = 1, and otherwise the q^(n^2 - 1) of
+  trace 0, since x ~ zeta x gives tr x = zeta tr x (_w_basis): x ~ zeta x
+  iff Y -> xY - zeta Yx has the rank of ad_x (Byrnes-Gauger), and x is
+  invertible iff rank x = n.  Group pairs need x ~ zeta x, and
+  y^-1 (mu x) y = zeta mu x iff y^-1 x y = zeta x, so one member x of W
+  per orbit of F_q^x (size q - 1) walks the kernel of Y -> xY - Y(zeta x)
+  (matgf.kernel_basis), counting the y of rank n;
 * class: the exact point-count polynomial of the variety, evaluated at q.
   For commuting pairs it is the Feit-Fine o-fold over part sizes, for
   [A,B] = cI with c != 0 |GL_pr| / |GL_r| times the commuting polynomial at
@@ -1010,25 +1011,43 @@ def _ad_rank_histogram(spec: FieldSpec, n: int, c: Fe) -> tuple[list[int], list[
     return walked, consistent
 
 
+def _w_basis(spec: FieldSpec, n: int, zeta: Fe) -> list[tuple[int, ...]]:
+    """The row-major basis of the matrices W's walk spans.  For zeta = 1 it
+    is the n^2 unit vectors.  For zeta != 1, x ~ zeta x gives tr x = tr(zeta
+    x) = zeta tr x, so (1 - zeta) tr x = 0 and tr x = 0: no x off the
+    trace-zero hyperplane is in W, and the walk spans that hyperplane, on
+    E_ij (i != j) and E_ii - E_nn (i < n), in row-major order of ij."""
+    units = Mat.identity(spec, n * n).rows
+    if zeta == spec.one:
+        return list(units)
+    minus_one = spec.neg(spec.one_idx)
+    return [u[:-1] + (minus_one,) if e % (n + 1) == 0 else u for e, u in enumerate(units[:-1])]
+
+
 def _w_blocks(spec: FieldSpec, n: int, zeta: Fe):
-    """(outer, members, ad) per block of _ad_blocks over all q^(n^2) x, as W
-    is not invariant under x + F_q I: the lanes, as bits of the lane ones,
-    where x is invertible, v -> xv of F_p-rank nk, and x ~ zeta x,
-    rank(Y -> xY - zeta Yx) = rank ad_x (C. I. Byrnes and M. A. Gauger,
-    Linear and Multilinear Algebra 5, 1977); ad counts the F_p-rank of ad_x."""
-    s = _block_exponent(spec.p, n * n * spec.k)
+    """(outer, members, ad) per block of _ad_blocks over the span of
+    _w_basis, all q^(n^2) x for zeta = 1 and the q^(n^2 - 1) of trace 0
+    otherwise (W is not invariant under x + F_q I): the lanes, as bits of
+    the lane ones, where x is invertible, v -> xv of F_p-rank nk, and
+    x ~ zeta x, rank(Y -> xY - zeta Yx) = rank ad_x (C. I. Byrnes and M. A.
+    Gauger, Linear and Multilinear Algebra 5, 1977); ad counts the F_p-rank
+    of ad_x."""
+    basis = _w_basis(spec, n, zeta)
+    s = _block_exponent(spec.p, len(basis) * spec.k)
     lanes = _Lanes(spec.p, spec.p**s)
     maps = (_ad_mod_scalars, lambda a: ad_matrix(a, a * zeta), lambda a: a)
     walked = 0
-    for outer, images in _ad_blocks(spec, n, s, maps, Mat.identity(spec, n * n).rows):
+    for outer, images in _ad_blocks(spec, n, s, maps, basis):
         ad, twisted, x = (_eliminate(lanes, rows)[0] for rows in images)
         differ = 0
         for ad_bit, twisted_bit in itertools.zip_longest(ad, twisted, fillvalue=0):
             differ |= ad_bit ^ twisted_bit
         walked += spec.p**s
         yield outer, _lanes_at(x, n * spec.k, lanes.ones) & ~differ, ad
-    if walked != spec.q ** (n * n):
-        raise MathCheckFailed("the brute W scan walked %d matrices, not q^%d" % (walked, n * n))
+    if walked != spec.q ** len(basis):
+        raise MathCheckFailed(
+            "the brute W scan walked %d matrices, not q^%d" % (walked, len(basis))
+        )
 
 
 # -- counting ------------------------------------------------------------------
@@ -1118,19 +1137,20 @@ def _group_scan(n: int, spec: FieldSpec, zeta: Fe, limits: CensusLimits) -> int:
     """#{(x, y) : y^-1 x y = zeta x} by brute scan: q - 1 times the solutions
     of the x in W's lanes (_w_blocks) whose first nonzero entry is 1, one per
     orbit of F_q^x.  The gate adds q^(dim ker) per such x, dim ker = n^2 -
-    rank ad_x on W, read off the ad counters before any solution walk."""
+    rank ad_x on W, read off the ad counters before any solution walk, to
+    the q^(n^2) of M_n(F_q), however few of them the W walk visits."""
     p, q, k, nn = spec.p, spec.q, spec.k, n * n
     width = _Lanes(p, 1).width
-    units = Mat.identity(spec, nn).rows
+    basis = _w_basis(spec, n, zeta)
     walked, solutions, reps = q**nn, 0, []  # solutions: q^(dim ker) over the members
     for outer, members, ad in _w_blocks(spec, n, zeta):
         for rank in range(1 << len(ad)):
             solutions += _lanes_at(ad, rank, members).bit_count() * q ** (nn - rank // k)
         walked = q**nn + solutions // (q - 1)
-        inner = range(nn * k - len(outer))  # the digits a lane's index gives
+        inner = range(len(basis) * k - len(outer))  # the digits a lane's index gives
         for lane, bit in enumerate(bin(members)[:1:-1][::width]):  # lane l at bit l * width
             if bit == "1" and walked <= limits.max_brute:  # keep no x for a refused scan
-                x = _span_member(spec, n, units, [lane // p**j % p for j in inner] + list(outer))
+                x = _span_member(spec, n, basis, [lane // p**j % p for j in inner] + list(outer))
                 if next(filter(None, itertools.chain(*x.rows))) == spec.one_idx:
                     reps.append(x)
     if walked > limits.max_brute:

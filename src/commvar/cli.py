@@ -17,6 +17,7 @@ Exit status: 0 all checks pass, 1 a mathematical check failed,
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -374,7 +375,13 @@ def _suite_canon(args, limits) -> list[dict]:
         spec = gf.field(q)
         mats = list(census._all_matrices(spec, 2))
         factors = {m: matgf.invariant_factors(m) for m in mats}
-        gl = [(g, g.inverse()) for g in mats if g.is_invertible()]
+        # (mu g) a (mu g)^-1 = g a g^-1: one g per coset of F_q^x, the one
+        # whose first nonzero entry, in row-major order, is 1
+        gl = [
+            (g, g.inverse())
+            for g in mats
+            if next(filter(None, itertools.chain(*g.rows)), 0) == spec.one_idx and g.is_invertible()
+        ]
         orbit = {}  # each matrix to its conjugation orbit, built once per orbit
         for a in mats:
             if a not in orbit:

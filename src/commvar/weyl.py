@@ -12,6 +12,7 @@ is -I when p is odd; the two conventions differ by (A, B) -> (A, -B)).
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import MathCheckFailed, Record
@@ -93,8 +94,10 @@ def weyl_pair(spec: FieldSpec, alpha, beta) -> WeylPair:
     return pair
 
 
+@functools.lru_cache(maxsize=None)
 def nilpotent_generators(spec: FieldSpec) -> tuple[Mat, Mat]:
-    """(A0, B0): the alpha = beta = 0 pair; both regular nilpotent."""
+    """(A0, B0): the alpha = beta = 0 pair; both regular nilpotent.  Built
+    and checked once per field: Mat is immutable."""
     pair = weyl_pair(spec, 0, 0)
     return pair.a, pair.b
 

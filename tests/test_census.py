@@ -486,8 +486,11 @@ def test_ad_rank_histogram_checks_its_total(monkeypatch):
 
 
 def test_w_lanes_equal_per_matrix_reference(monkeypatch):
-    # every lane's verdict against the Smith normal form test, for every x;
-    # the zetas of one field share each x's invariant factors
+    # every lane's verdict against the Smith normal form test, for every x
+    # the walk visits; for zeta != 1 the walk spans the trace-zero matrices
+    # only, and every x off them must fail the same test, so all q^(n^2)
+    # matrices of each case are judged; the zetas of one field share each
+    # x's invariant factors
     monkeypatch.setattr(tg, "invariant_factors", functools.lru_cache(None)(mg.invariant_factors))
     cases = [
         (2, spec, d)
@@ -500,17 +503,21 @@ def test_w_lanes_equal_per_matrix_reference(monkeypatch):
         zeta = gf.root_of_unity(spec, d)
         p, k = spec.p, spec.k
         width = cs._Lanes(p, 1).width
-        s = cs._block_exponent(p, n * n * k)
-        units = mg.Mat.identity(spec, n * n).rows
+        basis = cs._w_basis(spec, n, zeta)
+        assert len(basis) == (n * n if d == 1 else n * n - 1), (n, spec.q, d)
+        s = cs._block_exponent(p, len(basis) * k)
         seen = set()
         for outer, members, _ in cs._w_blocks(spec, n, zeta):
             for lane in range(p**s):
                 inner = [(lane // p**j) % p for j in range(s)]
-                x = cs._span_member(spec, n, units, inner + list(outer))
+                x = cs._span_member(spec, n, basis, inner + list(outer))
                 expected = x.is_invertible() and tg.is_conjugate_to_zeta_x(x, zeta)
                 assert members >> (lane * width) & 1 == expected, (n, spec.q, d, x)
                 seen.add(x)
-        assert len(seen) == spec.q ** (n * n), (n, spec.q, d)
+        assert len(seen) == spec.q ** len(basis), (n, spec.q, d)
+        for x in set(cs._all_matrices(spec, n)) - seen:
+            assert x.trace() and d > 1, (n, spec.q, d, x)
+            assert not (x.is_invertible() and tg.is_conjugate_to_zeta_x(x, zeta)), (n, spec.q, x)
 
 
 def test_w_brute_at_n3_equals_polynomial():
@@ -535,6 +542,20 @@ def test_w_scan_checks_its_total(monkeypatch):
     monkeypatch.setattr(cs, "_ad_blocks", lambda *a, **kw: list(blocks(*a, **kw))[1:])
     with pytest.raises(MathCheckFailed, match="W scan walked 448 matrices, not q\\^9"):
         cs.count_w(3, F2, F2.one, "brute")
+    # for zeta != 1 the walk spans the trace-zero matrices: 3 blocks of 9 over F_3
+    with pytest.raises(MathCheckFailed, match="W scan walked 18 matrices, not q\\^3"):
+        cs.count_w(2, F3, -1, "brute")
+
+
+def test_trace_zero_walks_in_several_blocks_equal_literal_scans(monkeypatch):
+    # 25 blocks of 5 lanes over F_5 and 81 of 9 over F_9, against the
+    # literal scans over every matrix
+    monkeypatch.setattr(cs, "_BLOCK_BITS", 64)
+    for spec, blocks in ((F5, 25), (gf.field(3, 2), 81)):
+        zeta = gf.root_of_unity(spec, 2)
+        assert len(list(cs._w_blocks(spec, 2, zeta))) == blocks
+        assert cs.count_w(2, spec, zeta, "brute") == ls.w_count(2, spec, zeta), spec.q
+        assert cs.count_group_pairs(2, spec, zeta, "brute") == ls.group_count(2, spec, zeta)
 
 
 def test_orbit_scans_equal_literal_scans():
