@@ -37,8 +37,10 @@ in ClassRep (with ClassRep.twisted); the CLI's `classes` report reads the
 walk directly.  A class's centralizer order, class size and centralizer
 dimension depend only on its type and are computed once per type
 (_type_numbers), and the report fills its entry's closing once per type.
-Before anything is walked, the exact class count, the x^n coefficient of
-prod_d P(x^d)^N_d (_class_count), is checked against limits.max_classes.
+Before anything is walked, the exact class count, the u^n coefficient of
+Macdonald's series prod_i (1 - u^i)/(1 - q u^i) for GL_n, or
+prod_i 1/(1 - q u^i) for M_n (_class_count), is checked against
+limits.max_classes.
 The report is written in pieces (head, blocks of entries, tail); its bytes
 stay exactly those of json.dumps(doc, indent=2).
 
@@ -242,23 +244,18 @@ class ClassRep(Record):
 def _class_count(n: int, q: int, restrict_invertible: bool = False, cap=math.inf) -> int:
     """Number of conjugacy classes of M_n(F_q), or of GL_n(F_q).
 
-    It is the x^n coefficient c_n of prod_d P(x^d)^N_d, with P the partition
-    series and N_d = (1/d) sum_{e | d} mu(d/e) q^e the number of monic
-    irreducibles of degree d (less t for GL).  That product is
-    prod_m (1 - x^m)^(-a_m), a_m = sum_{d | m} N_d, so
-    m c_m = sum_{k=1..m} b_k c_(m-k) with b_k = sum_{e | k} e a_e.  Adding a
+    It is the u^n coefficient c_n of Macdonald's series prod_i 1/(1 - q u^i)
+    for M_n, or prod_i (1 - u^i)/(1 - q u^i) for GL_n.  Its log-derivative
+    gives m c_m = sum_{k=1..m} b_k c_(m-k) with
+    b_k = sum_{i | k} i (q^(k/i) - g), g = 1 for GL and 0 for M_n.  Adding a
     part 1 to the partition at t (at t - 1 for GL) maps classes of size m
     into size m + 1 injectively, so c_m never decreases: the first c_m above
     cap is returned as it stands, a lower bound of c_n.
     """
-    counts, necklaces, a, b = [1], [0], [0], [0]
+    g = 1 if restrict_invertible else 0
+    counts, b = [1], [0]
     for m in range(1, n + 1):
-        divisors = [e for e in range(1, m + 1) if m % e == 0]
-        necklaces.append(sum(polyring._moebius(m // e) * q**e for e in divisors) // m)
-        if m == 1 and restrict_invertible:
-            necklaces[1] -= 1
-        a.append(sum(necklaces[e] for e in divisors))
-        b.append(sum(e * a[e] for e in divisors))
+        b.append(sum(i * (q ** (m // i) - g) for i in range(1, m + 1) if m % i == 0))
         c, rem = divmod(sum(b[k] * counts[m - k] for k in range(1, m + 1)), m)
         if rem:
             raise MathCheckFailed("class count recurrence at m=%d is not integral" % m)

@@ -217,12 +217,9 @@ class Mat:
 def block_diag(spec: FieldSpec, blocks) -> Mat:
     """Direct sum of square blocks."""
     n = sum(b.n_rows for b in blocks)
-    rows = [[0] * n for _ in range(n)]
-    off = 0
+    rows, off = [], 0
     for b in blocks:
-        for i in range(b.n_rows):
-            for j in range(b.n_cols):
-                rows[off + i][off + j] = b.rows[i][j]
+        rows += [(0,) * off + row + (0,) * (n - off - b.n_cols) for row in b.rows]
         off += b.n_rows
     return Mat(spec, rows)
 
@@ -240,6 +237,12 @@ def companion(f: Poly) -> Mat:
     for i in range(m):
         rows[i][m - 1] = spec.neg(f.coeffs[i])
     return Mat(spec, rows)
+
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product: the block matrix (a_ij b)."""
+    mul = a.spec._tables()[2]
+    return Mat(a.spec, [[mul[x][y] for x in ra for y in rb] for ra in a.rows for rb in b.rows])
 
 
 def random_matrix(spec: FieldSpec, n: int, rng, invertible: bool = False) -> Mat:

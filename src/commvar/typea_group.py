@@ -1,9 +1,9 @@
 """Invertible matrix pairs whose group commutator is a central root of unity.
 
 Builds the canonical block form D = diag(A, zeta A, ..., zeta^(d-1) A), the
-cyclic block permutation rho with [D, rho] = zeta I, tests whether a matrix
-is conjugate to its zeta-multiple, and describes the full solution set of
-[x, y] = zeta I over a fixed x as a centralizer coset.
+cyclic block permutation rho = C(t^d - 1) (x) I_(n/d) with [D, rho] = zeta I,
+tests whether a matrix is conjugate to its zeta-multiple, and describes the
+full solution set of [x, y] = zeta I over a fixed x as a centralizer coset.
 
 Conjugacy testing works with invariant factors over the base field; the
 solution coset over x, its witness and its size come from one rational
@@ -20,10 +20,13 @@ from .matgf import (
     Mat,
     _primary_data,
     block_diag,
+    companion,
     group_commutator,
     invariant_factors,
+    kron,
     rcf_transform,
 )
+from .polyring import Poly
 
 
 class ZetaInstance(Record):
@@ -56,19 +59,11 @@ def build_d_matrix(inst: ZetaInstance, a: Mat) -> Mat:
 
 
 def build_rho(spec: FieldSpec, n: int, d: int) -> Mat:
-    """The permutation matrix with identity blocks on the first subdiagonal
-    and in the top-right corner; rho^d = I."""
+    """C(t^d - 1) (x) I_(n/d): the d-cycle on blocks, with identity blocks on
+    the first subdiagonal and in the top-right corner; rho^d = I."""
     if n % d != 0:
         raise ValueError("d must divide n")
-    m = n // d
-    one = spec.one_idx
-    rows = [[0] * n for _ in range(n)]
-    for blk in range(d):
-        src = blk * m  # block column
-        dst = ((blk + 1) % d) * m  # block row below it, wrapping to the top
-        for i in range(m):
-            rows[dst + i][src + i] = one
-    return Mat(spec, rows)
+    return kron(companion(Poly.x(spec) ** d - Poly.one(spec)), Mat.identity(spec, n // d))
 
 
 class CentralCommutatorRecord(Record):

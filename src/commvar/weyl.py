@@ -1,9 +1,11 @@
 """Matrix pairs with Lie commutator equal to the identity in characteristic p.
 
-Constructs the p x p generator pairs (subdiagonal/superdiagonal form), the
-block matrices X(a_1..a_r) and Y of size n = p*r, the affine family of all
-solutions Y' of [X, Y'] = I, the generic split pairs, and the closed-form
-component-dimension arithmetic for the associated varieties.
+Constructs the p x p generator pairs A = C(t^p - alpha^p), B = beta I plus
+a superdiagonal, the block matrices X(a_1..a_r) = diag(A0 + a_i I) +
+J_r (x) B0^(p-1) and Y = diag(B0, ..., B0) of size n = p*r (J_r the r x r
+matrix of 1s on the superdiagonal, (x) the Kronecker product), the affine
+family of all solutions Y' of [X, Y'] = I, the generic split pairs, and the
+closed-form component-dimension arithmetic for the associated varieties.
 
 Sign convention: the superdiagonal of B carries -1, -2, ..., -(p-1) so that
 [A, B] = +I exactly for every p (with entries +1, ..., p-1 the commutator
@@ -22,7 +24,9 @@ from .matgf import (
     Mat,
     block_diag,
     commutator_solutions,
+    companion,
     is_regular,
+    kron,
     lie_commutator,
     poly_at_matrix,
     random_matrix,
@@ -68,23 +72,16 @@ class WeylPair(Record):
 def weyl_pair(spec: FieldSpec, alpha, beta) -> WeylPair:
     """The standard p x p pair over a field of characteristic p.
 
-    A has 1s on the subdiagonal and alpha^p in the top-right corner;
-    B is beta I plus the superdiagonal -1, -2, ..., -(p-1).
+    A = C(t^p - alpha^p) has 1s on the subdiagonal and alpha^p in the
+    top-right corner; B is beta I plus the superdiagonal -1, -2, ..., -(p-1).
     """
     p = spec.p
     alpha = spec.el(alpha)
     beta = spec.el(beta)
-    one = spec.one_idx
-    a_rows = [[0] * p for _ in range(p)]
-    for i in range(1, p):
-        a_rows[i][i - 1] = one
-    a_rows[0][p - 1] = spec.add(a_rows[0][p - 1], (alpha**p).idx)
-    b_rows = [[0] * p for _ in range(p)]
-    for i in range(p):
-        b_rows[i][i] = beta.idx
-        if i + 1 < p:
-            b_rows[i][i + 1] = spec.el(-(i + 1)).idx
-    a, b = Mat(spec, a_rows), Mat(spec, b_rows)
+    a = companion(Poly.x(spec) ** p - Poly.from_coeffs(spec, [alpha**p]))
+    b = Mat.scalar(spec, p, beta) + Mat(
+        spec, [[spec.el(-j).idx if j == i + 1 else 0 for j in range(p)] for i in range(p)]
+    )
     pair = WeylPair(p, alpha, beta, a, b)
     ident = Mat.identity(spec, p)
     if lie_commutator(a, b) != ident:
@@ -102,6 +99,12 @@ def nilpotent_generators(spec: FieldSpec) -> tuple[Mat, Mat]:
     return pair.a, pair.b
 
 
+@functools.lru_cache(maxsize=None)
+def _superdiagonal(spec: FieldSpec, r: int) -> Mat:
+    """J_r: the r x r matrix of 1s on the superdiagonal, C(t^r) transposed."""
+    return companion(Poly.x(spec) ** r).transpose()
+
+
 class BlockPair(Record):
     """The n = p*r block pair: [X, Y] = I with X regular."""
 
@@ -113,8 +116,9 @@ class BlockPair(Record):
 
 
 def build_block_pair(spec: FieldSpec, r: int, scalars=None) -> BlockPair:
-    """X(a_1..a_r): diagonal blocks A0 + a_i I, superdiagonal blocks B0^(p-1);
-    Y: diagonal blocks B0.  Scalars default to zero."""
+    """X(a_1..a_r) = diag(A0 + a_i I) + J_r (x) B0^(p-1), with J_r the r x r
+    matrix of 1s on the superdiagonal; Y = diag(B0, ..., B0).  Scalars
+    default to zero."""
     p = spec.p
     if r < 1:
         raise ValueError("r must be positive")
@@ -124,21 +128,11 @@ def build_block_pair(spec: FieldSpec, r: int, scalars=None) -> BlockPair:
     if len(scalars) != r:
         raise ValueError("expected %d scalars, got %d" % (r, len(scalars)))
     a0, b0 = nilpotent_generators(spec)
-    bp = b0 ** (p - 1)
-    n = p * r
-    x_rows = [[0] * n for _ in range(n)]
-    for blk in range(r):
-        off = blk * p
-        s = scalars[blk].idx
-        for i in range(p):
-            for j in range(p):
-                x_rows[off + i][off + j] = a0.rows[i][j]
-            x_rows[off + i][off + i] = spec.add(x_rows[off + i][off + i], s)
-            if blk + 1 < r:
-                for j in range(p):
-                    x_rows[off + i][off + p + j] = bp.rows[i][j]
-    x, y = Mat(spec, x_rows), block_diag(spec, [b0] * r)
-    if lie_commutator(x, y) != Mat.identity(spec, n):
+    x = block_diag(spec, [a0 + Mat.scalar(spec, p, s) for s in scalars]) + kron(
+        _superdiagonal(spec, r), b0 ** (p - 1)
+    )
+    y = block_diag(spec, [b0] * r)
+    if lie_commutator(x, y) != Mat.identity(spec, p * r):
         raise MathCheckFailed("construction violates [X,Y] = I")
     if r >= 2 and (x**p).is_zero:
         raise MathCheckFailed("X^p vanished; it must not for r >= 2")
@@ -162,7 +156,7 @@ class KernelActionRecord(Record):
 
 def kernel_action_check(pair: BlockPair) -> KernelActionRecord:
     """For the r = 2 nilpotent pair: L = sum A0^k B0^(p-1) A0^(p-1-k) maps
-    e_p to a nonzero multiple of itself, and X^p = [[0, L], [0, 0]] != 0.
+    e_p to a nonzero multiple of itself, and X^p = J_2 (x) L != 0.
 
     The multiple is (-1)^(p-1) (p-1)!, which is -1 for every p by the
     Wilson congruence under this module's sign convention.
@@ -181,19 +175,12 @@ def kernel_action_check(pair: BlockPair) -> KernelActionRecord:
     mult = Fe(spec, image[p - 1])
     eigen_ok = bool(mult) and image[: p - 1] == tuple([0] * (p - 1))
     xp = pair.x**p
-    match = True
-    for i in range(p):
-        for j in range(p):
-            if xp.rows[i][p + j] != l.rows[i][j]:
-                match = False
-            if xp.rows[i][j] != 0 or xp.rows[p + i][j] != 0 or xp.rows[p + i][p + j] != 0:
-                match = False
     return KernelActionRecord(
         p=p,
         l_matrix=l,
         multiplier=mult,
         multiplier_ok=eigen_ok and mult == spec.el(-1),
-        xp_matches_l=match,
+        xp_matches_l=xp == kron(_superdiagonal(spec, 2), l),
         xp_nonzero=not (xp.is_zero),
     )
 
@@ -258,18 +245,16 @@ def solution_family(x: Mat, y: Mat) -> SolutionFamily:
     if not space.contains(y):
         raise MathCheckFailed("Y must lie in the computed solution space")
     # kernel of ad_X equals the span of the powers of X
-    powers_space = AffineMatSpace(
-        Mat.zeros(spec, n, n),
-        tuple(x**j for j in range(n)),
-    )
-    cur = Mat.identity(spec, n)
-    for _ in range(n):
-        probe = space.particular + cur  # particular + kernel member stays a solution
+    powers = [Mat.identity(spec, n)]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ x)
+    for power in powers:
+        probe = space.particular + power  # particular + kernel member stays a solution
         if lie_commutator(x, probe) != Mat.identity(spec, n):
             raise MathCheckFailed("powers of X must centralize X")
         if not space.contains(probe):
             raise MathCheckFailed("X powers must lie in the kernel of ad_X")
-        cur = cur @ x
+    powers_space = AffineMatSpace(Mat.zeros(spec, n, n), tuple(powers))
     for b in space.basis:
         if not powers_space.contains(b):
             raise MathCheckFailed("kernel of ad_X must consist of polynomials in X")

@@ -16,6 +16,7 @@ import _literal_scan as ls
 import _type_sum as ts
 from commvar import census as cs
 from commvar import cli, gf, matgf as mg, typea_group as tg
+from commvar import polyring as pr
 from commvar.errors import LimitExceeded, MathCheckFailed
 from commvar.polyring import Poly
 
@@ -132,13 +133,64 @@ def test_class_walk_yields_each_class_with_its_type():
                 assert ctype == tuple((f.degree, lam) for f, lam in data)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 27])
 def test_class_count_equals_the_walk(q):
     spec = cli._field_from_q(q)
-    for n in range(1, 5):
+    # at n = 4, q = 27 has over 500,000 classes, past the default limit
+    for n in range(1, 4 if q == 27 else 5):
         for invertible in (False, True):
             walked = len(cs.enumerate_classes(n, spec, invertible))
             assert cs._class_count(n, q, invertible) == walked
+
+
+def necklace_class_count(n, q, restrict_invertible=False, cap=float("inf")):
+    """Reference: the x^n coefficient of prod_d P(x^d)^N_d, with P the
+    partition series and N_d = (1/d) sum_{e | d} mu(d/e) q^e the number of
+    monic irreducibles of degree d (less t for GL), as
+    prod_m (1 - x^m)^(-a_m), a_m = sum_{d | m} N_d."""
+    counts, necklaces, a, b = [1], [0], [0], [0]
+    for m in range(1, n + 1):
+        divisors = [e for e in range(1, m + 1) if m % e == 0]
+        necklaces.append(sum(pr._moebius(m // e) * q**e for e in divisors) // m)
+        if m == 1 and restrict_invertible:
+            necklaces[1] -= 1
+        a.append(sum(necklaces[e] for e in divisors))
+        b.append(sum(e * a[e] for e in divisors))
+        c, rem = divmod(sum(b[k] * counts[m - k] for k in range(1, m + 1)), m)
+        assert rem == 0
+        counts.append(c)
+        if c > cap:
+            break
+    return counts[-1]
+
+
+def test_class_count_equals_the_necklace_recurrence():
+    for q in [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]:
+        for n in range(1, 16):
+            for invertible in (False, True):
+                expected = necklace_class_count(n, q, invertible)
+                assert cs._class_count(n, q, invertible) == expected
+                # the same sequence, so the same early stop
+                assert cs._class_count(n, q, invertible, 10**5) == necklace_class_count(
+                    n, q, invertible, 10**5
+                )
+
+
+def test_class_invertibility_equals_the_representative():
+    for spec in [F2, F3, F4]:
+        for n in range(1, 4):
+            classes = cs.enumerate_classes(n, spec)
+            for c in classes:
+                assert c.is_invertible == c.representative.is_invertible()
+            assert [c.data for c in classes if c.is_invertible] == [
+                c.data for c in cs.enumerate_classes(n, spec, restrict_invertible=True)
+            ]
+
+
+def test_value_at_refuses_a_non_integral_value():
+    assert cs._value_at(cs.QPoly((0, 1), 2), 4) == 2
+    with pytest.raises(MathCheckFailed, match="gives 3/2 at q=3"):
+        cs._value_at(cs.QPoly((0, 1), 2), 3)
 
 
 def test_class_walk_checks_its_count(monkeypatch):

@@ -64,6 +64,27 @@ def test_build_rho_examples():
             assert sorted(rho.col(j)) == [0] * (n - 1) + [1]
 
 
+def entrywise_rho(spec, n, d):
+    """Reference: identity blocks placed on the first block subdiagonal and
+    in the top-right corner."""
+    m = n // d
+    rows = [[0] * n for _ in range(n)]
+    for blk in range(d):
+        src = blk * m  # block column
+        dst = ((blk + 1) % d) * m  # block row below it, wrapping to the top
+        for i in range(m):
+            rows[dst + i][src + i] = spec.one_idx
+    return mg.Mat(spec, rows)
+
+
+def test_build_rho_equals_entrywise_reference():
+    for spec in [F3, F5]:
+        for n in range(1, 9):
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    assert tg.build_rho(spec, n, d) == entrywise_rho(spec, n, d)
+
+
 def test_rho_conjugation_block_shifts_d():
     inst = tg.zeta_instance(F3, 4, 2)
     rng = random.Random(1)

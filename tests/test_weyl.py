@@ -11,6 +11,67 @@ F2 = gf.field(2)
 F3 = gf.field(3)
 F4 = gf.field(2, 2)
 F5 = gf.field(5)
+F7 = gf.field(7)
+F9 = gf.field(3, 2)
+
+
+def entrywise_weyl_pair(spec, alpha, beta):
+    """Reference: A and B placed entry by entry."""
+    p = spec.p
+    a_rows = [[0] * p for _ in range(p)]
+    for i in range(1, p):
+        a_rows[i][i - 1] = spec.one_idx
+    a_rows[0][p - 1] = spec.add(a_rows[0][p - 1], (alpha**p).idx)
+    b_rows = [[0] * p for _ in range(p)]
+    for i in range(p):
+        b_rows[i][i] = beta.idx
+        if i + 1 < p:
+            b_rows[i][i + 1] = spec.el(-(i + 1)).idx
+    return mg.Mat(spec, a_rows), mg.Mat(spec, b_rows)
+
+
+def entrywise_block_pair(spec, scalars):
+    """Reference: X(a_1..a_r) and Y placed entry by entry, block by block."""
+    p, r = spec.p, len(scalars)
+    a0, b0 = entrywise_weyl_pair(spec, spec.zero, spec.zero)
+    bp = b0 ** (p - 1)
+    n = p * r
+    x_rows = [[0] * n for _ in range(n)]
+    y_rows = [[0] * n for _ in range(n)]
+    for blk in range(r):
+        off = blk * p
+        for i in range(p):
+            for j in range(p):
+                x_rows[off + i][off + j] = a0.rows[i][j]
+                y_rows[off + i][off + j] = b0.rows[i][j]
+            x_rows[off + i][off + i] = spec.add(x_rows[off + i][off + i], scalars[blk].idx)
+            if blk + 1 < r:
+                for j in range(p):
+                    x_rows[off + i][off + p + j] = bp.rows[i][j]
+    return mg.Mat(spec, x_rows), mg.Mat(spec, y_rows)
+
+
+def test_weyl_pair_equals_entrywise_reference():
+    rng = random.Random(7)
+    for spec in [F2, F3, F4, F5, F7, F9]:
+        if spec.q <= 4:
+            pairs = itertools.product(range(spec.q), repeat=2)
+        else:
+            pairs = [(rng.randrange(spec.q), rng.randrange(spec.q)) for _ in range(10)]
+        for ai, bi in pairs:
+            alpha, beta = gf.Fe(spec, ai), gf.Fe(spec, bi)
+            pair = weyl.weyl_pair(spec, alpha, beta)
+            assert (pair.a, pair.b) == entrywise_weyl_pair(spec, alpha, beta)
+
+
+def test_block_pair_equals_entrywise_reference():
+    rng = random.Random(11)
+    for p in [2, 3, 5]:
+        for spec in [gf.field(p), gf.field(p, 2)]:
+            for r in [1, 2, 3]:
+                scalars = [gf.Fe(spec, rng.randrange(spec.q)) for _ in range(r)]
+                pair = weyl.build_block_pair(spec, r, scalars)
+                assert (pair.x, pair.y) == entrywise_block_pair(spec, scalars)
 
 
 def test_weyl_pair_p2_exact_matrices():
@@ -119,6 +180,22 @@ def test_kernel_action_check():
         assert not (pair.x**p).is_zero
     with pytest.raises(ValueError):
         weyl.kernel_action_check(weyl.build_block_pair(F2, 3))
+
+
+def test_kernel_action_check_sees_x_power_outside_the_l_block():
+    for spec in [F2, F3, F5]:
+        p = spec.p
+        pair = weyl.build_block_pair(spec, 2)
+        # (X + I)^p = X^p + I in characteristic p: the L block stays, the
+        # diagonal blocks do not
+        shifted = pair.x + mg.Mat.identity(spec, 2 * p)
+        xp = shifted**p
+        l = weyl.kernel_action_check(pair).l_matrix
+        assert [row[p:] for row in xp.rows[:p]] == list(l.rows)
+        forged = weyl.BlockPair(p, 2, pair.scalars, shifted, pair.y)
+        rec = weyl.kernel_action_check(forged)
+        assert not rec.xp_matches_l and rec.xp_nonzero and rec.multiplier_ok
+        assert not rec.ok
 
 
 def test_solution_family_members_and_decompose():
